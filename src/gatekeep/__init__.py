@@ -5,6 +5,11 @@ A strategy is a directed weighted graph over hypothesis *families*. Layers
 are tested in order; each family runs a local FWER-controlling procedure at
 its current critical value, and the unspent part of that value flows to
 later families along the graph's edges.
+
+The Monte Carlo names (`SimConfig`, `simulate_fwer`, `sweep`, ...) load
+`gatekeep.mcsim`, and with it numpy and scipy, on first access, so the
+decision path (`run`, `validate_spec`, `to_dot`, the oracle) never imports
+them.
 """
 
 from .engine import (
@@ -19,7 +24,7 @@ from .engine import (
     run,
     step,
 )
-from .errors import GatekeepError, InvalidSpecError, SpecFormatError
+from .errors import GatekeepError, InvalidSpecError, SpecFormatError, SweepError
 from .graph import (
     FamilySpec,
     GraphSpec,
@@ -39,15 +44,6 @@ from .hypgraph import (
     run_hypothesis_graph,
     validate_graph,
 )
-from .mcsim import (
-    PValueModel,
-    SimConfig,
-    SimResult,
-    SweepError,
-    batch_run,
-    simulate_fwer,
-    sweep,
-)
 from .procedures import (
     FamilyTestInput,
     LocalProcedureSpec,
@@ -56,6 +52,18 @@ from .procedures import (
 )
 
 __version__ = "0.1.0"
+
+_MCSIM_NAMES = ("PValueModel", "SimConfig", "SimResult", "batch_run", "simulate_fwer", "sweep")
+
+
+def __getattr__(name):
+    # PEP 562: resolve the simulation names lazily (see the module docstring).
+    if name in _MCSIM_NAMES:
+        from . import mcsim
+
+        return getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ExecutionState",

@@ -15,16 +15,9 @@ import json
 import sys
 
 from .engine import TestReport, report_to_json, run
-from .errors import InvalidSpecError, SpecFormatError
+from .errors import InvalidSpecError, SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, to_dot, validate_spec
 from .hypgraph import graph_from_json, run_hypothesis_graph
-from .mcsim import (
-    SweepError,
-    sim_configs_from_json,
-    sim_result_to_json,
-    sweep,
-    sweep_to_csv,
-)
 
 
 def parse_pvalues(text: str) -> dict[str, float]:
@@ -72,8 +65,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write {path}: {exc}") from None
 
 
 def _load_spec(path: str) -> GraphSpec:
@@ -129,6 +125,9 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Imported here so that the other commands never load numpy and scipy.
+    from .mcsim import sim_configs_from_json, sim_result_to_json, sweep, sweep_to_csv
+
     configs = sim_configs_from_json(_read(args.config), seed=args.seed)
     configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
     results = sweep(configs)

@@ -21,3 +21,17 @@ class InvalidSpecError(GatekeepError):
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__("; ".join(self.violations) or "invalid spec")
+
+
+class SweepError(GatekeepError):
+    """One or more sweep elements failed; the rest were still computed.
+
+    `errors` holds (index, exception) pairs; `results` maps the indices
+    that succeeded to their SimResult.
+    """
+
+    def __init__(self, errors, results):
+        self.errors = tuple(errors)
+        self.results = dict(results)
+        detail = "; ".join(f"config {i}: {exc}" for i, exc in self.errors)
+        super().__init__(f"{len(self.errors)} sweep element(s) failed: {detail}")

@@ -17,6 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,6 +107,9 @@ def check_procedure(
                 problems.append(
                     f"{len(proc.weights)} weights for {n} hypotheses"
                 )
+            if not all(math.isfinite(w) for w in proc.weights):
+                # NaN fails every comparison below, so it must be caught here.
+                problems.append("non-finite weight")
             if any(w < 0 for w in proc.weights):
                 problems.append("negative weight")
             if abs(sum(proc.weights) - 1.0) > _WEIGHT_TOL:

@@ -141,6 +141,14 @@ class TestRunCommand:
         assert "exceeding global alpha" in capsys.readouterr().err
 
 
+    def test_unwritable_out_exit_1(self, files, capsys):
+        tmp_path, spec_path, csv_path = files
+        out = str(tmp_path / "missing-dir" / "report.json")
+        code = cli.main(["run", "--spec", spec_path, "--pvalues", csv_path, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 class TestDotCommand:
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -159,6 +167,13 @@ class TestDotCommand:
         path = tmp_path / "bad.json"
         path.write_text(gk.spec_to_json(spec))
         assert cli.main(["dot", "--spec", str(path)]) == 2
+
+
+    def test_unwritable_out_exit_1(self, files, capsys):
+        tmp_path, spec_path, _ = files
+        out = str(tmp_path / "missing-dir" / "graph.dot")
+        assert cli.main(["dot", "--spec", spec_path, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
 class TestSimulateCommand:
@@ -212,6 +227,13 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path), "--seed", "1"]) == 1
 
 
+    def test_unwritable_csv_exit_1(self, tmp_path, capsys):
+        path = self.config_file(tmp_path)
+        out = str(tmp_path / "missing-dir" / "sweep.csv")
+        assert cli.main(["simulate", "--config", path, "--seed", "5", "--csv", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, files):
         import subprocess
@@ -225,6 +247,46 @@ class TestConsoleScript:
         )
         assert done.returncode == 0
         assert done.stdout.strip() == "ok"
+
+    def test_decision_commands_do_not_load_numpy_or_scipy(self, files, tmp_path):
+        import subprocess
+        import sys
+
+        _, spec_path, csv_path = files
+        graph, _ = hypgraph.bonferroni_gate_pair(0.05)
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(hypgraph.graph_to_json(graph))
+        oracle_csv = tmp_path / "oracle.csv"
+        oracle_csv.write_text("hypothesis,p\nH1,0.01\nH2,0.04\nH3,0.02\nH4,0.049\n")
+        commands = [
+            ["validate", "--spec", spec_path],
+            ["run", "--spec", spec_path, "--pvalues", csv_path],
+            ["dot", "--spec", spec_path],
+            ["oracle", "--graph", str(graph_path), "--pvalues", str(oracle_csv)],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import gatekeep\n"
+            "from gatekeep import cli\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "lazy = gatekeep.batch_run is gatekeep.mcsim.batch_run\n"
+            "print(json.dumps([codes, heavy, lazy]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        codes, heavy, lazy = json.loads(done.stdout)
+        assert codes == [0, 0, 0, 0]
+        assert heavy == []
+        assert lazy
 
 
 class TestOracleCommand:

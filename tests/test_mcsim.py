@@ -1,6 +1,7 @@
 """Simulation harness: determinism, truth handling, batch-engine agreement."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,27 @@ class TestDeterminism:
         long = mcsim.draw_scores(42, 50, 4)
         short = mcsim.draw_scores(42, 20, 4)
         assert np.array_equal(long[:20], short)
+
+    @pytest.mark.parametrize("seed", [0, 42, -3, (1 << 64) + 5])
+    @pytest.mark.parametrize(
+        "kind, rho", [("independent_uniform", 0.0), ("equicorrelated_normal", 0.35)]
+    )
+    def test_scores_match_one_philox_per_row(self, seed, kind, rho):
+        # the stream contract written out: row r is a fresh Philox keyed by
+        # seed << 64 | r (seed taken mod 2**64)
+        reps, n = 60, 5
+        base = (seed % (1 << 64)) << 64
+        expect = np.empty((reps, n))
+        for r in range(reps):
+            rng = np.random.Generator(np.random.Philox(key=base | r))
+            if kind == "equicorrelated_normal":
+                vals = rng.standard_normal(n + 1)
+                expect[r] = math.sqrt(rho) * vals[0] + math.sqrt(1.0 - rho) * vals[1:]
+            else:
+                expect[r] = rng.standard_normal(n)
+        got = mcsim.draw_scores(seed, reps, n, kind, rho)
+        assert got.shape == (reps, n)
+        assert np.array_equal(got, expect)
 
 
 class TestTruthHandling:
@@ -121,6 +143,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="delta"):
             mcsim.simulate_fwer(small_config(delta=-1.0))
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_delta_finite(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            mcsim.simulate_fwer(small_config(delta=delta))
+
     def test_reps_positive(self):
         with pytest.raises(ValueError, match="reps"):
             mcsim.simulate_fwer(small_config(reps=0))
@@ -163,6 +190,33 @@ class TestSweep:
         assert [i for i, _ in err.errors] == [1]
         assert sorted(err.results) == [0, 2]
         assert err.results[0] == mcsim.simulate_fwer(good)
+
+    def test_mixed_configs_match_direct_calls(self):
+        # shuffled specs, truth masks, deltas, seeds and models in one call:
+        # the shared score, p-value and per-family caches change nothing
+        import itertools
+        import random
+
+        specs = [three_layer_step_up_spec(), parallel_split_spec()]
+        models = [
+            PValueModel(delta=2.5),
+            PValueModel(delta=3.0),
+            PValueModel("equicorrelated_normal", rho=0.4, delta=3.0),
+        ]
+        configs = []
+        for spec, model, seed in itertools.product(specs, models, (5, 6)):
+            labels = spec.labels()
+            for bits in itertools.product((True, False), repeat=4):
+                truth = {
+                    label: "true_null" if bits[k % 4] else "false_null"
+                    for k, label in enumerate(labels)
+                }
+                configs.append(SimConfig(spec, truth, model, 150, seed))
+        random.Random(0).shuffle(configs)
+        sorted_run = sorted(configs, key=mcsim.truth_mask)
+        for batch in (configs, sorted_run):
+            results = mcsim.sweep(batch)
+            assert results == [mcsim.simulate_fwer(c) for c in batch]
 
     def test_csv_shape(self):
         spec = parallel_split_spec()
@@ -267,6 +321,18 @@ class TestBatchAgreesWithEngine:
             expect = np.array([report.decisions[l] == "S" for l in labels])
             assert np.array_equal(batch[r], expect)
 
+    def test_hochberg_threshold_tie_agrees(self):
+        # p equal to level/7 at level 0.001: (1/7)*level is one ulp below
+        # level/7, so a threshold computed that way missed the tie
+        labels = [f"H{k}" for k in range(1, 8)]
+        spec = gk.make_spec(0.001, [[("F1", labels, 0.001, proc.hochberg())]])
+        pmat = np.ones((1, 7))
+        pmat[0, 0] = 0.001 / 7
+        report = gk.run(spec, dict(zip(labels, pmat[0])))
+        assert report.decisions["H1"] == "S"
+        expect = [report.decisions[l] == "S" for l in labels]
+        assert mcsim.batch_run(spec, pmat)[0].tolist() == expect
+
     def test_batch_run_validates(self):
         spec = gk.make_spec(0.05, [[("F1", ["H1"], 0.2, proc.bonferroni())]])
         with pytest.raises(gk.InvalidSpecError):
@@ -296,12 +362,19 @@ class TestJsonFormats:
     def test_list_of_configs(self):
         config = small_config(reps=10)
         text = f"[{mcsim.sim_config_to_json(config)}, {mcsim.sim_config_to_json(config)}]"
-        assert len(mcsim.sim_configs_from_json(text)) == 2
+        parsed = mcsim.sim_configs_from_json(text)
+        assert len(parsed) == 2
+        assert parsed[0].spec is parsed[1].spec  # each distinct spec built once
+
+    @pytest.mark.parametrize("key", ["reps", "seed"])
+    def test_bool_is_not_an_integer(self, key):
+        obj = json.loads(mcsim.sim_config_to_json(small_config(reps=10)))
+        obj[key] = True
+        with pytest.raises(gk.SpecFormatError, match=f"{key} must be an integer"):
+            mcsim.sim_configs_from_json(json.dumps(obj))
 
     def test_result_json(self):
         result = mcsim.simulate_fwer(small_config(reps=100))
-        import json
-
         obj = json.loads(mcsim.sim_result_to_json(result))
         assert set(obj) == {
             "fwer_hat", "se", "rejections_per_hypothesis", "reps", "seed"

@@ -142,6 +142,16 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="does not support weights"):
             rejects(bad, (0.01, 0.02), 0.05)
 
+    @pytest.mark.parametrize("make", [proc.bonferroni, proc.holm])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_refused(self, make, bad):
+        # NaN slips past every `<` and `>` check, so it needs its own
+        with pytest.raises(ValueError, match="non-finite weight"):
+            rejects(make(weights=(bad, 1.0)), (0.01, 0.02), 0.05)
+        assert "non-finite weight" in proc.check_procedure(
+            make(weights=(0.5, bad, 0.5)), 3
+        )
+
     def test_gamma_refused_outside_truncated_kinds(self):
         bad = gk.LocalProcedureSpec("holm", gamma=0.5)
         with pytest.raises(ValueError, match="does not take gamma"):
