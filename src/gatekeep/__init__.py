@@ -7,9 +7,9 @@ its current critical value, and the unspent part of that value flows to
 later families along the graph's edges.
 
 The Monte Carlo names (`SimConfig`, `simulate_fwer`, `sweep`, ...) load
-`gatekeep.mcsim`, and with it numpy and scipy, on first access, so the
-decision path (`run`, `validate_spec`, `to_dot`, the oracle) never imports
-them.
+`gatekeep.mcsim`, and with it numpy (its only dependency), on first access,
+so the decision path (`run`, `validate_spec`, `to_dot`, the oracle) never
+imports numpy.
 """
 
 from .engine import (

@@ -125,17 +125,16 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # Imported here so that the other commands never load numpy and scipy.
-    from .mcsim import sim_configs_from_json, sim_result_to_json, sweep, sweep_to_csv
+    # Imported here so that the other commands never load numpy; simulation
+    # needs numpy only.
+    from .mcsim import sim_configs_from_json, sim_result_obj, sweep, sweep_to_csv
 
     configs = sim_configs_from_json(_read(args.config), seed=args.seed)
     configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
     results = sweep(configs)
-    if len(results) == 1:
-        sys.stdout.write(sim_result_to_json(results[0]) + "\n")
-    else:
-        parts = [json.loads(sim_result_to_json(r)) for r in results]
-        sys.stdout.write(json.dumps(parts, indent=2, sort_keys=True) + "\n")
+    objs = [sim_result_obj(r) for r in results]
+    out = objs[0] if len(objs) == 1 else objs
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     if args.csv:
         _write(args.csv, sweep_to_csv(configs, results))
     return 0

@@ -19,6 +19,7 @@ whose eps part is positive rejects only p = 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -86,6 +87,8 @@ def validate_graph(graph: HypothesisGraph) -> ValidationOutcome:
     if len(graph.weights) != n:
         v.append(f"{len(graph.weights)} weights for {n} hypotheses")
     else:
+        if not all(math.isfinite(w) for w in graph.weights):
+            v.append("non-finite weight")
         if any(w < 0 for w in graph.weights):
             v.append("negative weight")
         if sum(graph.weights) > 1.0 + SUM_TOL:
@@ -101,6 +104,9 @@ def validate_graph(graph: HypothesisGraph) -> ValidationOutcome:
         eps_sum = 0.0
         for k in range(n):
             g = graph.transitions[j][k]
+            if not math.isfinite(g):
+                v.append(f"non-finite coefficient {g!r} at ({j}, {k})")
+                continue
             if j == k:
                 if g != 0.0:
                     v.append(f"nonzero diagonal at {j}")
@@ -363,9 +369,13 @@ def graph_to_json(graph: HypothesisGraph, indent: int | None = 2) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True)
 
 
+def _reject_constant(name: str):
+    raise SpecFormatError(f"non-finite number {name} is not allowed")
+
+
 def graph_from_json(text: str) -> HypothesisGraph:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -373,6 +383,8 @@ def graph_from_json(text: str) -> HypothesisGraph:
     for key in ("alpha", "hypotheses", "weights", "transitions"):
         if key not in obj:
             raise SpecFormatError(f"missing required key {key!r}")
+    if not isinstance(obj["alpha"], (int, float)):
+        raise SpecFormatError("alpha must be a number")
     labels = obj["hypotheses"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise SpecFormatError("hypotheses must be a list of labels")

@@ -14,7 +14,9 @@ P-value generation: every hypothesis gets a standard normal score; under
 the equicorrelated model the scores share a common factor with correlation
 rho. False nulls get a one-sided mean shift delta, and scores map to
 p-values through the upper-tail normal transform, which makes true-null
-p-values exactly Uniform(0, 1).
+p-values exactly Uniform(0, 1). The transform is `ndtr`, a numpy port of
+the Cephes normal CDF that scipy.special.ndtr also uses, so the module
+needs numpy only.
 
 The replicate loop does not call the scalar engine; it uses a vectorized
 twin (`batch_run`) that evaluates all replicates at once. The twin is held
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 # SweepError lives in errors.py so that the CLI can catch it without loading
 # numpy; it stays importable from here.
@@ -103,6 +104,93 @@ def _check_config(config: SimConfig, labels: tuple[str, ...]) -> None:
         raise ValueError(f"reps {config.reps!r} must be at least 1")
 
 
+# ---------------------------------------------------------------------------
+# Normal CDF
+# ---------------------------------------------------------------------------
+
+# Cephes ndtr.c (S. L. Moshier, Cephes Math Library 2.x, 1989): rational
+# approximations of erf and erfc after Cody (Math. Comp. 1969). The same
+# coefficients, branch points and Horner order as scipy.special.ndtr, and
+# exp from libm (math.exp), give the same doubles bit for bit. np.exp is
+# not used: its SIMD kernels differ from libm in the last bit.
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843e2  # log(largest double)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Cephes polevl: coefs[0]*x**N + ... + coefs[N], by Horner's rule."""
+    ans = coefs[0] * x
+    ans += coefs[1]
+    for c in coefs[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Cephes p1evl: polevl with an implied leading coefficient of 1."""
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Cephes erfc for x >= 1 (or NaN): 0 where exp(-x*x) would underflow."""
+    zz = -x * x
+    live = ~(zz < -_MAXLOG)  # NaN stays live and comes out NaN
+    if not live.all():
+        out = np.zeros_like(x)
+        out[live] = _erfc(x[live])
+        return out
+    y = np.fromiter(map(math.exp, zz.tolist()), float, count=x.size)
+    far = x >= 8.0
+    if far.any():
+        y *= np.where(far, _polevl(x, _R), _polevl(x, _P))
+        y /= np.where(far, _p1evl(x, _S), _p1evl(x, _Q))
+    else:
+        y *= _polevl(x, _P)
+        y /= _p1evl(x, _Q)
+    return y
+
+
+def ndtr(a) -> np.ndarray:
+    """Standard normal CDF, elementwise; equal to scipy.special.ndtr."""
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRTH
+    z = np.abs(x)
+    # Near 0: 0.5 + 0.5*erf(x). Otherwise 0.5*erfc(|x|), with erfc = 1 - erf
+    # below 1, then reflected for x > 0.
+    inner = z < _SQRTH
+    with np.errstate(all="ignore"):  # erf is also evaluated, and discarded, on the tail
+        e = _erf(np.where(inner, x, z))
+    y = np.where(inner, 0.5 + 0.5 * e, 0.5 * (1.0 - e))
+    tail = np.flatnonzero(~(z < 1.0))  # NaN included
+    y[tail] = 0.5 * _erfc(z[tail])
+    return np.where(inner | (x <= 0.0), y, 1.0 - y).reshape(a.shape)
+
+
 def draw_scores(
     seed: int, reps: int, n: int, kind: str = "independent_uniform", rho: float = 0.0
 ) -> np.ndarray:
@@ -146,8 +234,9 @@ def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     """simulate_fwer for each config, in order.
 
     Work is shared across the configs of one call: score matrices across
-    configs that agree on (seed, reps, model, hypothesis count), p-value
-    matrices across those that also agree on delta, and a family's outcome
+    configs that agree on (seed, reps, model, hypothesis count), a column's
+    p-values across those that also agree on its shift (delta for a false
+    null, none for a true null), and a family's outcome
     across consecutive configs that agree on the truth of the family and of
     every family that can pass level to it. Results equal simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
@@ -176,7 +265,8 @@ class _Simulator:
     """The caches one simulate_fwer or sweep call shares across its configs.
 
     Specs are keyed by identity (`sim_configs_from_json` builds each
-    distinct spec once). The family memo keeps only the last outcome of
+    distinct spec once). P-values are mapped one column at a time, when a
+    family first needs them. The family memo keeps only the last outcome of
     each family, which already gets all the sharing there is when masks
     come in `itertools.product` order; keeping every outcome would cost
     memory for every mask.
@@ -184,7 +274,8 @@ class _Simulator:
 
     def __init__(self) -> None:
         self.scores: dict[tuple, np.ndarray] = {}
-        self.pvalues: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        # (score key, column, delta, or None for a true null) -> p-values
+        self.pcols: dict[tuple, np.ndarray] = {}
         # id(spec) -> (spec, its labels, its compiled families, family memo)
         self.specs: dict[int, tuple] = {}
 
@@ -203,32 +294,38 @@ class _Simulator:
                 f"score matrix shape {scores.shape} != ({config.reps}, {len(labels)})"
             )
         delta = config.model.delta
-        p_key = score_key + (delta,)
-        if p_key not in self.pvalues:
-            # Per column this equals ndtr(-(scores + delta * false_mask)):
-            # adding delta * 0.0 leaves a score unchanged.
-            self.pvalues[p_key] = (ndtr(-scores), ndtr(-(scores + delta)))
-        p_null, p_alt = self.pvalues[p_key]
         false_mask = np.array([config.truth[label] == FALSE_NULL for label in labels])
-        rejected = _evaluate(
+
+        def p_of(fam: _Family) -> np.ndarray:
+            columns = []
+            for j in range(fam.cols.start, fam.cols.stop):
+                # A false null's score is shifted by delta; a true null's is not.
+                key = (score_key, j, delta if false_mask[j] else None)
+                if key not in self.pcols:
+                    s = scores[:, j]
+                    self.pcols[key] = ndtr(-(s + delta) if false_mask[j] else -s)
+                columns.append(self.pcols[key])
+            return np.column_stack(columns)
+
+        p_key = score_key + (delta,)
+        outcomes = _evaluate(
             plan,
-            np.where(false_mask, p_alt, p_null),
+            p_of,
             memo,
             lambda fam: (p_key, false_mask[fam.scope].tobytes()),
+            ~false_mask,
         )
 
-        true_mask = ~false_mask
-        counts = rejected.sum(axis=0)
-        if true_mask.any():
-            fwer_hat = float((rejected & true_mask).any(axis=1).mean())
-        else:
-            fwer_hat = 0.0
+        hit = None  # rows that rejected some true null
+        for outcome in outcomes:
+            if outcome.hit is not None:
+                hit = outcome.hit if hit is None else hit | outcome.hit
+        fwer_hat = 0.0 if hit is None else int(np.count_nonzero(hit)) / config.reps
+        counts = [c for outcome in outcomes for c in outcome.counts]
         return SimResult(
             fwer_hat=fwer_hat,
             se=math.sqrt(fwer_hat * (1.0 - fwer_hat) / config.reps),
-            rejections_per_hypothesis={
-                label: int(counts[k]) for k, label in enumerate(labels)
-            },
+            rejections_per_hypothesis=dict(zip(labels, counts)),
             reps=config.reps,
             seed=config.seed,
         )
@@ -267,7 +364,18 @@ class _Family:
     procedure: LocalProcedureSpec
     initial_alpha: float
     order: tuple[int, ...] | None  # fixed_sequence order as family positions
-    out: tuple[tuple[int, float], ...]  # (target's plan position, g) for each g > 0
+    into: tuple[tuple[int, float], ...]  # (source's plan position, g) for each g > 0
+    passes_on: bool  # has an edge with g > 0
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """One family's result on every row."""
+
+    rejected: np.ndarray  # (rows, family size)
+    spendable: np.ndarray | None  # level it passes on per unit of g; None if it passes none
+    counts: list[int] | None  # rejections per column (simulation only)
+    hit: np.ndarray | None  # rows that rejected one of its true nulls (None if it has none)
 
 
 def _compile(spec: GraphSpec) -> tuple[_Family, ...]:
@@ -279,16 +387,19 @@ def _compile(spec: GraphSpec) -> tuple[_Family, ...]:
     position = {fam.index: k for k, fam in enumerate(families)}
     starts = [0, *itertools.accumulate(fam.size for fam in families)]
     scopes = [set(range(starts[k], starts[k + 1])) for k in range(len(families))]
+    into: list[list[tuple[int, float]]] = [[] for _ in families]
+    passes_on = [False] * len(families)
+    for k, fam in enumerate(families):
+        for target, g in spec.transitions.outgoing(fam.index).items():
+            if g <= 0.0:
+                continue
+            dst = position[target]
+            # Edges only point at later layers, so scopes[k] is complete here.
+            scopes[dst] |= scopes[k]
+            into[dst].append((k, g))
+            passes_on[k] = True
     plan = []
     for k, fam in enumerate(families):
-        out = tuple(
-            (position[dst], g)
-            for dst, g in spec.transitions.outgoing(fam.index).items()
-            if g > 0.0
-        )
-        # Edges only point at later layers, so scopes[k] is complete here.
-        for dst, _ in out:
-            scopes[dst] |= scopes[k]
         order = None
         if fam.procedure.kind == "fixed_sequence":
             order = tuple(fam.labels.index(label) for label in fam.procedure.order)
@@ -299,42 +410,55 @@ def _compile(spec: GraphSpec) -> tuple[_Family, ...]:
                 procedure=fam.procedure,
                 initial_alpha=fam.initial_alpha,
                 order=order,
-                out=out,
+                into=tuple(into[k]),
+                passes_on=passes_on[k],
             )
         )
     return tuple(plan)
 
 
-def _evaluate(plan, pmat: np.ndarray, memo: dict, key_of) -> np.ndarray:
-    """Run the families of `plan` in order on every row of `pmat`.
+def _evaluate(plan, p_of, memo: dict, key_of, true_null=None) -> list[_Outcome]:
+    """Run the families of `plan` in order on every row.
 
-    Returns the rejection matrix. `memo` holds one entry per plan position:
-    a family whose `key_of(family)` equals the key stored for it reuses the
-    stored rejections and spendable level instead of testing again, so the
-    key must cover every input the family's outcome depends on.
+    `p_of(family)` gives the family's (rows, size) p-value matrix; it is
+    called only for families that are tested. `true_null` (a mask over all
+    columns) makes each outcome carry its column counts and true-null hits.
+    `memo` holds one entry per plan position: a family whose
+    `key_of(family)` equals the key stored for it reuses the stored outcome
+    instead of testing again, so the key must cover every input the
+    family's outcome depends on.
     """
-    levels = [np.full(pmat.shape[0], fam.initial_alpha) for fam in plan]
-    rejected = np.zeros_like(pmat, dtype=bool)
+    outcomes: list[_Outcome] = []
     for k, fam in enumerate(plan):
         key = key_of(fam)
         if k in memo and memo[k][0] == key:
-            _, rej, spendable = memo[k]
+            outcomes.append(memo[k][1])
+            continue
+        p = p_of(fam)
+        # Incoming level is added in source plan order, as engine.step adds it.
+        level = np.full(p.shape[0], fam.initial_alpha)
+        for src, g in fam.into:
+            level = level + outcomes[src].spendable * g
+        if fam.order is None:
+            rej = _batch_test(fam.procedure, p, level)
         else:
-            level = levels[k]
-            p = pmat[:, fam.cols]
-            if fam.order is None:
-                rej = _batch_test(fam.procedure, p, level)
-            else:
-                rej = _batch_test_fixed_sequence(fam.order, p, level)
-            spendable = None  # a family with no outgoing edge passes nothing on
-            if fam.out:
-                e_star = _batch_bound(fam.procedure, ~rej, level)
-                spendable = np.maximum(level - e_star, 0.0)
-            memo[k] = (key, rej, spendable)
-        for dst, g in fam.out:
-            levels[dst] = levels[dst] + spendable * g
-        rejected[:, fam.cols] = rej
-    return rejected
+            rej = _batch_test_fixed_sequence(fam.order, p, level)
+        spendable = None
+        if fam.passes_on:
+            e_star = _batch_bound(fam.procedure, ~rej, level)
+            spendable = np.maximum(level - e_star, 0.0)
+        counts = hit = None
+        if true_null is not None:
+            # Per column: a reduction along the short axis of a C-ordered
+            # matrix is several times slower.
+            counts = [int(np.count_nonzero(col)) for col in rej.T]
+            own = true_null[fam.cols]
+            if own.any():
+                hit = rej[:, own].any(axis=1)
+        outcome = _Outcome(rej, spendable, counts, hit)
+        memo[k] = (key, outcome)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
@@ -351,7 +475,8 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
         raise ValueError(f"p matrix must be (reps, {n})")
     if pmat.size and (pmat.min() < 0.0 or pmat.max() > 1.0):
         raise ValueError("p-values outside [0, 1]")
-    return _evaluate(plan, pmat, {}, lambda fam: None)
+    outcomes = _evaluate(plan, lambda fam: pmat[:, fam.cols], {}, lambda fam: None)
+    return np.concatenate([outcome.rejected for outcome in outcomes], axis=1)
 
 
 def _batch_test(proc, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -456,6 +581,19 @@ def sim_config_to_json(config: SimConfig, indent: int | None = 2) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True)
 
 
+def _model_number(model_obj: dict, key: str, default: float) -> float:
+    value = model_obj.get(key, default)
+    # bool is a subclass of int, but `true` is not a number here.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SpecFormatError(f"model {key} must be a finite number, got {value!r}")
+
+
 def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimConfig:
     """Build one config; `specs` holds the specs parsed so far, by JSON text,
     so that configs sharing a strategy share one GraphSpec."""
@@ -478,8 +616,8 @@ def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimC
         raise SpecFormatError("model must be an object")
     model = PValueModel(
         kind=model_obj.get("kind", "independent_uniform"),
-        rho=float(model_obj.get("rho", 0.0)),
-        delta=float(model_obj.get("delta", 3.0)),
+        rho=_model_number(model_obj, "rho", 0.0),
+        delta=_model_number(model_obj, "delta", 3.0),
     )
     # bool is a subclass of int, but `"reps": true` is not a count.
     if not isinstance(obj["reps"], int) or isinstance(obj["reps"], bool):
@@ -504,8 +642,9 @@ def sim_configs_from_json(text: str, seed: int | None = None) -> list[SimConfig]
     return [_config_from_obj(obj, seed, specs)]
 
 
-def sim_result_to_json(result: SimResult, indent: int | None = 2) -> str:
-    obj = {
+def sim_result_obj(result: SimResult) -> dict:
+    """The result as the JSON object that `sim_result_to_json` writes."""
+    return {
         "fwer_hat": result.fwer_hat,
         "se": result.se,
         "rejections_per_hypothesis": dict(
@@ -514,4 +653,7 @@ def sim_result_to_json(result: SimResult, indent: int | None = 2) -> str:
         "reps": result.reps,
         "seed": result.seed,
     }
-    return json.dumps(obj, indent=indent, sort_keys=True)
+
+
+def sim_result_to_json(result: SimResult, indent: int | None = 2) -> str:
+    return json.dumps(sim_result_obj(result), indent=indent, sort_keys=True)

@@ -226,6 +226,15 @@ class TestSimulateCommand:
         path.write_text('{"reps": 10}')
         assert cli.main(["simulate", "--config", str(path), "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("key", ["rho", "delta"])
+    @pytest.mark.parametrize("value", [None, "0.3", True])
+    def test_model_number_not_a_number_exit_1(self, tmp_path, capsys, key, value):
+        path = self.config_file(tmp_path)
+        obj = json.loads((tmp_path / "config.json").read_text())
+        obj["model"][key] = value
+        (tmp_path / "config.json").write_text(json.dumps(obj))
+        assert cli.main(["simulate", "--config", path, "--seed", "5"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: model {key} must be a finite number")
 
     def test_unwritable_csv_exit_1(self, tmp_path, capsys):
         path = self.config_file(tmp_path)
@@ -249,10 +258,12 @@ class TestConsoleScript:
         assert done.stdout.strip() == "ok"
 
     def test_decision_commands_do_not_load_numpy_or_scipy(self, files, tmp_path):
+        # ...and simulate loads numpy but not scipy.
         import subprocess
         import sys
 
         _, spec_path, csv_path = files
+        config_path = TestSimulateCommand().config_file(tmp_path)
         graph, _ = hypgraph.bonferroni_gate_pair(0.05)
         graph_path = tmp_path / "graph.json"
         graph_path.write_text(hypgraph.graph_to_json(graph))
@@ -275,18 +286,23 @@ class TestConsoleScript:
             "        codes.append(cli.main(argv))\n"
             "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
             "lazy = gatekeep.batch_run is gatekeep.mcsim.batch_run\n"
-            "print(json.dumps([codes, heavy, lazy]))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes.append(cli.main(json.loads(sys.argv[2])))\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([codes, heavy, lazy, scipy]))\n"
         )
+        simulate = ["simulate", "--config", config_path, "--seed", "3"]
         done = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)],
+            [sys.executable, "-c", script, json.dumps(commands), json.dumps(simulate)],
             capture_output=True,
             text=True,
         )
         assert done.returncode == 0, done.stderr
-        codes, heavy, lazy = json.loads(done.stdout)
-        assert codes == [0, 0, 0, 0]
+        codes, heavy, lazy, scipy = json.loads(done.stdout)
+        assert codes == [0, 0, 0, 0, 0]
         assert heavy == []
         assert lazy
+        assert scipy == []
 
 
 class TestOracleCommand:

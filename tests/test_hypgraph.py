@@ -45,6 +45,18 @@ class TestValidation:
         graph = plain_graph(0.05, ["A", "B"], [1, 0], {(0, 1): 1.0}, eps=[(0, 5)])
         assert any("epsilon edge" in v for v in hg.validate_graph(graph).violations)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight(self, bad):
+        hyp, _ = hg.bonferroni_gate_pair(0.05)
+        graph = hg.HypothesisGraph(hyp.alpha, hyp.labels, (bad, 0.5, 0.0, 0.0), hyp.transitions)
+        assert "non-finite weight" in hg.validate_graph(graph).violations
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 1)])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient(self, cell, bad):
+        graph = plain_graph(0.05, ["A", "B"], [1.0, 0.0], {(0, 1): 1.0, cell: bad})
+        assert f"non-finite coefficient {bad!r} at {cell}" in hg.validate_graph(graph).violations
+
     def test_run_rejects_invalid_graph(self):
         graph = plain_graph(0.05, ["A"], [2.0], {})
         with pytest.raises(gk.InvalidSpecError):
@@ -202,6 +214,24 @@ class TestJson:
             hg.serial_holm_gate_weighted_pair(0.05, 0.7, 0.3)[0],
         ]:
             assert hg.graph_from_json(hg.graph_to_json(graph)) == graph
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["alpha", "weight", "transition"])
+    def test_non_finite_literals_rejected(self, literal, field):
+        values = {"alpha": "0.05", "weight": "1", "transition": "0"}
+        values[field] = literal
+        text = (
+            f'{{"alpha": {values["alpha"]}, "hypotheses": ["A"], '
+            f'"weights": [{values["weight"]}], "transitions": [[{values["transition"]}]]}}'
+        )
+        with pytest.raises(gk.SpecFormatError, match=f"non-finite number {literal}"):
+            hg.graph_from_json(text)
+
+    def test_alpha_must_be_a_number(self):
+        with pytest.raises(gk.SpecFormatError, match="alpha must be a number"):
+            hg.graph_from_json(
+                '{"alpha": "0.05", "hypotheses": ["A"], "weights": [1], "transitions": [[0]]}'
+            )
 
     def test_malformed(self):
         with pytest.raises(gk.SpecFormatError):

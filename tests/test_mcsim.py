@@ -159,12 +159,70 @@ class TestModelValidation:
     def test_equicorrelated_nulls_still_uniform(self):
         # marginal distribution of true-null p-values is Uniform(0, 1)
         scores = mcsim.draw_scores(5, 4000, 3, "equicorrelated_normal", 0.6)
-        from scipy.special import ndtr
-
-        p = ndtr(-scores).ravel()
+        p = mcsim.ndtr(-scores).ravel()
         # crude KS-style check on quartiles
         for q in (0.25, 0.5, 0.75):
             assert abs((p <= q).mean() - q) < 0.02
+
+
+class TestNdtr:
+    # scipy.special.ndtr values, as float.hex, so that the check runs without scipy.
+    PINNED = {
+        -40.0: "0x0.0p+0",
+        -37.5: "0x1.08eda98086fd0p-1021",
+        -12.0: "0x1.272b3136661edp-109",
+        -8.5: "0x1.5dbbaccf1a4b4p-57",
+        -3.0: "0x1.61de1f985b5d1p-10",
+        -1.2: "0x1.d7534b65d1e30p-4",
+        -0.9: "0x1.78f483d6e55c6p-3",
+        -0.25: "0x1.9aecba9d22528p-2",
+        0.0: "0x1.0000000000000p-1",
+        0.6: "0x1.73951868dff28p-1",
+        1.0: "0x1.aec4bd120d37dp-1",
+        2.5: "0x1.fcd21635036c6p-1",
+        6.0: "0x1.fffffff786788p-1",
+        9.0: "0x1.0000000000000p+0",
+    }
+
+    def test_pinned_values(self):
+        x = np.array(list(self.PINNED))
+        assert [float(v).hex() for v in mcsim.ndtr(x)] == [
+            float.fromhex(h).hex() for h in self.PINNED.values()
+        ]
+
+    def test_shape_and_specials(self):
+        assert mcsim.ndtr(np.zeros((2, 3))).shape == (2, 3)
+        assert mcsim.ndtr(0.5).shape == ()
+        p = mcsim.ndtr(np.array([-np.inf, np.inf, np.nan, -0.0]))
+        assert p[0] == 0.0 and p[1] == 1.0 and np.isnan(p[2]) and p[3] == 0.5
+
+    def test_bit_identical_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(4)
+        scores = rng.standard_normal(400_000)
+        sqrt2 = math.sqrt(2.0)
+        # The port branches on |x|/sqrt(2) at SQRTH, 1 and 8, and at the exp
+        # underflow edge sqrt(MAXLOG); take a few ulps on either side of each.
+        edges = [math.sqrt(0.5), 1.0, 8.0, math.sqrt(7.09782712893383996843e2)]
+        points = []
+        for b in edges:
+            for v in (b * sqrt2, -b * sqrt2):
+                up = down = v
+                for _ in range(4):
+                    points += [up, down]
+                    up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        x = np.concatenate([
+            -scores,
+            -(scores + 3.0),
+            -(rng.standard_normal(200_000) + 2.5),
+            rng.uniform(-45.0, 45.0, 400_000),
+            points,
+            [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
+        ])
+        ours, theirs = mcsim.ndtr(x), special.ndtr(x)
+        same = (ours == theirs) | (np.isnan(ours) & np.isnan(theirs))
+        assert x.size >= 1_000_000
+        assert same.all(), x[~same][:5]
 
 
 class TestSweep:
@@ -373,9 +431,21 @@ class TestJsonFormats:
         with pytest.raises(gk.SpecFormatError, match=f"{key} must be an integer"):
             mcsim.sim_configs_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("key", ["rho", "delta"])
+    @pytest.mark.parametrize(
+        "value", [None, "0.3", True, [0.3], float("nan"), pytest.param(10**400, id="huge_int")]
+    )
+    def test_model_numbers_must_be_finite_numbers(self, key, value):
+        obj = json.loads(mcsim.sim_config_to_json(small_config(reps=10)))
+        obj["model"][key] = value
+        with pytest.raises(gk.SpecFormatError, match=f"model {key} must be a finite number"):
+            mcsim.sim_configs_from_json(json.dumps(obj))
+
     def test_result_json(self):
         result = mcsim.simulate_fwer(small_config(reps=100))
         obj = json.loads(mcsim.sim_result_to_json(result))
+        assert obj == mcsim.sim_result_obj(result)
         assert set(obj) == {
             "fwer_hat", "se", "rejections_per_hypothesis", "reps", "seed"
         }
+        assert type(result.fwer_hat) is float
