@@ -9,8 +9,12 @@ later families along the graph's edges.
 The Monte Carlo names (`SimConfig`, `simulate_fwer`, `sweep`, ...) load
 `gatekeep.mcsim`, and with it numpy (its only dependency), on first access,
 so the decision path (`run`, `validate_spec`, `to_dot`, the oracle) never
-imports numpy.
+imports numpy. The oracle's names (`HypothesisGraph`,
+`run_hypothesis_graph`, ...) load `gatekeep.hypgraph` on first access too,
+so `run`, `validate` and `dot` do not compile it.
 """
+
+from importlib import import_module
 
 from .engine import (
     ExecutionState,
@@ -37,13 +41,6 @@ from .graph import (
     to_dot,
     validate_spec,
 )
-from .hypgraph import (
-    HypothesisGraph,
-    graph_from_json,
-    graph_to_json,
-    run_hypothesis_graph,
-    validate_graph,
-)
 from .procedures import (
     FamilyTestInput,
     LocalProcedureSpec,
@@ -53,15 +50,23 @@ from .procedures import (
 
 __version__ = "0.1.0"
 
-_MCSIM_NAMES = ("PValueModel", "SimConfig", "SimResult", "batch_run", "simulate_fwer", "sweep")
+_LAZY = {
+    **dict.fromkeys(
+        ("PValueModel", "SimConfig", "SimResult", "batch_run", "simulate_fwer", "sweep"), "mcsim"
+    ),
+    **dict.fromkeys(
+        ("HypothesisGraph", "graph_from_json", "graph_to_json", "run_hypothesis_graph",
+         "validate_graph"),
+        "hypgraph",
+    ),
+}
 
 
 def __getattr__(name):
-    # PEP 562: resolve the simulation names lazily (see the module docstring).
-    if name in _MCSIM_NAMES:
-        from . import mcsim
-
-        return getattr(mcsim, name)
+    # PEP 562: resolve the simulation and oracle names lazily (see the
+    # module docstring).
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

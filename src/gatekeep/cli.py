@@ -11,13 +11,12 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 
 from .engine import TestReport, report_to_json, run
 from .errors import InvalidSpecError, SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, to_dot, validate_spec
-from .hypgraph import graph_from_json, run_hypothesis_graph
+from .jsontext import dumps
 
 
 def parse_pvalues(text: str) -> dict[str, float]:
@@ -134,19 +133,20 @@ def _cmd_simulate(args) -> int:
     results = sweep(configs)
     objs = [sim_result_obj(r) for r in results]
     out = objs[0] if len(objs) == 1 else objs
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(dumps(out, 2) + "\n")
     if args.csv:
         _write(args.csv, sweep_to_csv(configs, results))
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    # Imported here so that the other commands do not compile the oracle.
+    from .hypgraph import graph_from_json, run_hypothesis_graph
+
     graph = graph_from_json(_read(args.graph))
     pvalues = parse_pvalues(_read(args.pvalues))
     rejected = run_hypothesis_graph(graph, pvalues)
-    sys.stdout.write(
-        json.dumps({"rejected": sorted(rejected)}, indent=2) + "\n"
-    )
+    sys.stdout.write(dumps({"rejected": sorted(rejected)}, 2) + "\n")
     return 0
 
 

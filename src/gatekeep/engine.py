@@ -11,7 +11,9 @@ trail.
 `step` advances one family at a time and never mutates its input state, so
 callers can fork execution paths. `replay` re-derives every level, bound
 and transfer from a report's rejection sets, catching corrupted or
-hand-edited reports.
+hand-edited reports. All three apply one update rule, `_advance`; `run` and
+`replay` walk the spec's plan (`GraphSpec.plan`), which is validated and
+resolved once per spec object.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidSpecError, SpecFormatError
-from .graph import GraphSpec, ValidationOutcome, validate_spec
+from .errors import SpecFormatError
+from .graph import FamilySpec, GraphSpec, ValidationOutcome
+from .jsontext import dumps
 from .procedures import FamilyTestInput, error_rate_bound, test_family
 
 REPLAY_TOL = 1e-12
@@ -81,6 +84,34 @@ def initial_state(spec: GraphSpec) -> ExecutionState:
     )
 
 
+def _advance(fam: FamilySpec, level: float, accepted, edges):
+    """The update rules after testing `fam` at `level`: its bound
+    e*(accepted) and one transfer of (level - e*) * g per (target, g) edge,
+    in edge order."""
+    e_star = error_rate_bound(fam.procedure, accepted, fam.size, level)
+    spendable = max(level - e_star, 0.0)
+    return e_star, tuple(Transfer(dst, spendable * g) for dst, g in edges)
+
+
+def _test(fam: FamilySpec, level: float, pvalues: Mapping[str, float], edges) -> FamilyOutcome:
+    """Test `fam` at `level` and advance along `edges`."""
+    labels = fam.labels
+    rejected_idx = test_family(
+        fam.procedure,
+        FamilyTestInput(tuple(pvalues[label] for label in labels), level, labels),
+    )
+    accepted_idx = frozenset(range(1, fam.size + 1)) - rejected_idx
+    e_star, transfers = _advance(fam, level, accepted_idx, edges)
+    return FamilyOutcome(
+        family=fam.name,
+        level_used=level,
+        rejected=frozenset(labels[k - 1] for k in rejected_idx),
+        accepted=frozenset(labels[k - 1] for k in accepted_idx),
+        e_star=e_star,
+        transfers=transfers,
+    )
+
+
 def step(
     spec: GraphSpec,
     state: ExecutionState,
@@ -90,7 +121,8 @@ def step(
     """Test one family and return (outcome, next state); `state` is unchanged.
 
     The family must be untested and belong to the earliest layer that still
-    has untested families.
+    has untested families. Its level and edges come from `state`, so a
+    forked or hand-edited state is followed as it is.
     """
     layer_idx = None
     for i, layer in enumerate(state.remaining):
@@ -108,29 +140,15 @@ def step(
                 )
         raise ValueError(f"family {family!r} is not an untested family")
 
-    fam = spec.family(family)
-    level = state.current_alpha[family]
-    pvec = tuple(pvalues[label] for label in fam.labels)
-    rejected_idx = test_family(
-        fam.procedure, FamilyTestInput(pvec, level, fam.labels)
+    by_name = spec.plan.by_name
+    edges = sorted(
+        ((dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0),
+        key=lambda e: by_name[e[0]].index,
     )
-    accepted_idx = frozenset(range(1, fam.size + 1)) - rejected_idx
-    e_star = error_rate_bound(fam.procedure, accepted_idx, fam.size, level)
-    spendable = max(level - e_star, 0.0)
-
-    order = {f.name: pos for pos, f in enumerate(spec.families())}
-    outgoing = [
-        (dst, g)
-        for (src, dst), g in state.current_g.items()
-        if src == family and g > 0.0
-    ]
-    transfers = tuple(
-        Transfer(dst, spendable * g)
-        for dst, g in sorted(outgoing, key=lambda e: order[e[0]])
-    )
+    outcome = _test(by_name[family], state.current_alpha[family], pvalues, edges)
 
     new_alpha = dict(state.current_alpha)
-    for t in transfers:
+    for t in outcome.transfers:
         new_alpha[t.target] += t.amount
     new_g = {
         edge: g for edge, g in state.current_g.items() if edge[0] != family
@@ -138,15 +156,6 @@ def step(
     new_remaining = tuple(
         layer - {family} if i == layer_idx else layer
         for i, layer in enumerate(state.remaining)
-    )
-
-    outcome = FamilyOutcome(
-        family=family,
-        level_used=level,
-        rejected=frozenset(fam.labels[k - 1] for k in rejected_idx),
-        accepted=frozenset(fam.labels[k - 1] for k in accepted_idx),
-        e_star=e_star,
-        transfers=transfers,
     )
     return outcome, ExecutionState(new_remaining, new_alpha, new_g)
 
@@ -157,13 +166,10 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
     Raises InvalidSpecError if the spec has constraint violations and
     ValueError if `pvalues` does not cover exactly the spec's labels.
     """
-    outcome = validate_spec(spec)
-    if not outcome.ok:
-        raise InvalidSpecError(outcome.violations)
-    labels = spec.labels()
-    missing = sorted(set(labels) - set(pvalues))
-    extra = sorted(set(pvalues) - set(labels))
-    if missing or extra:
+    plan = spec.plan
+    if pvalues.keys() != plan.labels:
+        missing = sorted(plan.labels - set(pvalues))
+        extra = sorted(set(pvalues) - plan.labels)
         parts = []
         if missing:
             parts.append(f"missing p-values for {missing}")
@@ -171,13 +177,14 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
             parts.append(f"p-values for unknown labels {extra}")
         raise ValueError("; ".join(parts))
 
-    state = initial_state(spec)
+    levels = {fam.name: fam.initial_alpha for fam in plan.families}
     outcomes = []
-    for layer in spec.layers:
-        for fam in layer:
-            result, state = step(spec, state, fam.name, pvalues)
-            outcomes.append(result)
     decisions = {}
+    for fam in plan.families:
+        result = _test(fam, levels[fam.name], pvalues, plan.edges[fam.name])
+        for t in result.transfers:
+            levels[t.target] += t.amount
+        outcomes.append(result)
     for result in outcomes:
         for label in result.rejected:
             decisions[label] = "S"
@@ -193,33 +200,33 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
     produced (within 1e-12) given those rejections. Structural mismatches
     between report and spec raise ValueError.
     """
-    check = validate_spec(spec)
-    if not check.ok:
-        raise InvalidSpecError(check.violations)
-    seen = [o.family for o in report.outcomes]
-    expected = sorted(fam.name for fam in spec.families())
-    if sorted(seen) != expected:
-        raise ValueError(
-            f"report covers families {sorted(seen)}, spec has {expected}"
-        )
+    plan = spec.plan
+    seen = sorted(o.family for o in report.outcomes)
+    expected = sorted(plan.by_name)
+    if seen != expected:
+        raise ValueError(f"report covers families {seen}, spec has {expected}")
 
     v: list[str] = []
-    state = initial_state(spec)
+    levels = {fam.name: fam.initial_alpha for fam in plan.families}
+    untested = [len(layer) for layer in spec.layers]
+    current = 0  # the earliest layer with untested families
     for o in report.outcomes:
-        fam = spec.family(o.family)
+        fam = plan.by_name[o.family]
         where = f"family {o.family}"
-        layer_idx = next(i for i, layer in enumerate(state.remaining) if layer)
-        if o.family not in state.remaining[layer_idx]:
+        while not untested[current]:
+            current += 1
+        if fam.index[0] != current + 1:
             raise ValueError(
-                f"{where}: tested out of order (layer {layer_idx + 1} was current)"
+                f"{where}: tested out of order (layer {current + 1} was current)"
             )
+        untested[current] -= 1
 
         if o.rejected | o.accepted != set(fam.labels) or (o.rejected & o.accepted):
             raise ValueError(
                 f"{where}: rejected/accepted do not partition the hypotheses"
             )
 
-        level = state.current_alpha[o.family]
+        level = levels[o.family]
         if abs(o.level_used - level) > REPLAY_TOL:
             v.append(
                 f"{where}: level_used {o.level_used!r}, re-derived {level!r}"
@@ -227,16 +234,11 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
         accepted_idx = frozenset(
             k for k, label in enumerate(fam.labels, start=1) if label in o.accepted
         )
-        e_star = error_rate_bound(fam.procedure, accepted_idx, fam.size, level)
+        e_star, transfers = _advance(fam, level, accepted_idx, plan.edges[o.family])
         if abs(o.e_star - e_star) > REPLAY_TOL:
             v.append(f"{where}: e_star {o.e_star!r}, re-derived {e_star!r}")
-        spendable = max(level - e_star, 0.0)
 
-        derived = {
-            dst: spendable * g
-            for (src, dst), g in state.current_g.items()
-            if src == o.family and g > 0.0
-        }
+        derived = {t.target: t.amount for t in transfers}
         reported = {t.target: t.amount for t in o.transfers}
         if len(reported) != len(o.transfers):
             raise ValueError(f"{where}: duplicate transfer target")
@@ -250,24 +252,13 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
                     f"{where}: transfer to {dst} is {reported[dst]!r}, "
                     f"re-derived {derived[dst]!r}"
                 )
+        for t in transfers:
+            levels[t.target] += t.amount
 
-        new_alpha = dict(state.current_alpha)
-        for dst, amount in derived.items():
-            new_alpha[dst] += amount
-        state = ExecutionState(
-            tuple(
-                layer - {o.family} if i == layer_idx else layer
-                for i, layer in enumerate(state.remaining)
-            ),
-            new_alpha,
-            {e: g for e, g in state.current_g.items() if e[0] != o.family},
-        )
-
-    all_labels = set(spec.labels())
     decided = set(report.decisions)
-    if decided != all_labels:
+    if decided != plan.labels:
         raise ValueError(
-            f"decisions cover {sorted(decided)}, spec labels are {sorted(all_labels)}"
+            f"decisions cover {sorted(decided)}, spec labels are {sorted(plan.labels)}"
         )
     for o in report.outcomes:
         for label in o.rejected:
@@ -301,7 +292,7 @@ def report_to_json(report: TestReport, indent: int | None = 2) -> str:
         ],
         "decisions": dict(sorted(report.decisions.items())),
     }
-    return json.dumps(obj, indent=indent, sort_keys=True)
+    return dumps(obj, indent)
 
 
 def report_from_json(text: str) -> TestReport:

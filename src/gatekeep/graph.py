@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidSpecError, SpecFormatError
+from .jsontext import dumps
 from .procedures import KINDS, LocalProcedureSpec, check_procedure
 
 SUM_TOL = 1e-12
@@ -49,7 +52,7 @@ class FamilySpec:
     initial_alpha: float
     procedure: LocalProcedureSpec
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(h.label for h in self.hypotheses)
 
@@ -60,18 +63,33 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class TransitionCoefficients:
-    """Sparse map from ordered family pair to coefficient; absent means 0."""
+    """Sparse map from ordered family pair to coefficient; absent means 0.
+
+    `entries` is a read-only copy of the mapping it is built with, so that
+    a spec's cached plan cannot go stale.
+    """
 
     entries: Mapping[tuple[FamilyIndex, FamilyIndex], float]
 
-    def get(self, src: FamilyIndex, dst: FamilyIndex) -> float:
-        return self.entries.get((src, dst), 0.0)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
-    def outgoing(self, src: FamilyIndex) -> dict[FamilyIndex, float]:
-        return {d: g for (s, d), g in self.entries.items() if s == src}
+    def __reduce__(self):
+        return TransitionCoefficients, (dict(self.entries),)
 
     def items(self):
         return sorted(self.entries.items())
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A validated spec resolved for execution; see `GraphSpec.plan`."""
+
+    families: tuple[FamilySpec, ...]  # execution order
+    by_name: Mapping[str, FamilySpec]
+    labels: frozenset[str]
+    # by source name: (target name, g) for each g > 0, targets in execution order
+    edges: Mapping[str, tuple[tuple[str, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -87,12 +105,6 @@ class GraphSpec:
         for layer in self.layers:
             yield from layer
 
-    def family(self, name: str) -> FamilySpec:
-        for fam in self.families():
-            if fam.name == name:
-                return fam
-        raise KeyError(name)
-
     def family_at(self, index: FamilyIndex) -> FamilySpec:
         i, j = index
         return self.layers[i - 1][j - 1]
@@ -100,9 +112,27 @@ class GraphSpec:
     def labels(self) -> tuple[str, ...]:
         return tuple(h.label for fam in self.families() for h in fam.hypotheses)
 
-    @property
-    def n_families(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+    @cached_property
+    def plan(self) -> Plan:
+        """The execution plan, built once per spec object.
+
+        Raises InvalidSpecError if the spec does not validate; then nothing
+        is cached, so every access raises again.
+        """
+        outcome = validate_spec(self)
+        if not outcome.ok:
+            raise InvalidSpecError(outcome.violations)
+        families = tuple(self.families())
+        edges: dict[str, list[tuple[str, float]]] = {fam.name: [] for fam in families}
+        for (src, dst), g in self.transitions.items():  # sorted: targets in order
+            if g > 0.0:
+                edges[self.family_at(src).name].append((self.family_at(dst).name, g))
+        return Plan(
+            families=families,
+            by_name={fam.name: fam for fam in families},
+            labels=frozenset(self.labels()),
+            edges={name: tuple(out) for name, out in edges.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -244,20 +274,15 @@ def to_dot(spec: GraphSpec) -> str:
     coefficient labeled with its value. Identical specs produce identical
     bytes. Raises InvalidSpecError if the spec does not validate.
     """
-    outcome = validate_spec(spec)
-    if not outcome.ok:
-        raise InvalidSpecError(outcome.violations)
+    plan = spec.plan
     lines = ["digraph families {", "  rankdir=LR;"]
-    for fam in spec.families():
+    for fam in plan.families:
         lines.append(
             f'  "{fam.name}" [label="{fam.name} ({format_float(fam.initial_alpha)})"];'
         )
-    for (src, dst), g in spec.transitions.items():
-        if g == 0.0:
-            continue
-        src_name = spec.family_at(src).name
-        dst_name = spec.family_at(dst).name
-        lines.append(f'  "{src_name}" -> "{dst_name}" [label="{format_float(g)}"];')
+    for fam in plan.families:
+        for dst, g in plan.edges[fam.name]:
+            lines.append(f'  "{fam.name}" -> "{dst}" [label="{format_float(g)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -278,6 +303,11 @@ def _procedure_to_obj(proc: LocalProcedureSpec) -> dict:
     return obj
 
 
+def is_number(x) -> bool:
+    # bool is a subclass of int, but JSON `true` is not a number.
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: procedure must be an object")
@@ -285,13 +315,11 @@ def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
     if kind not in KINDS:
         raise SpecFormatError(f"{where}: unknown procedure kind {kind!r}")
     gamma = obj.get("gamma")
-    if gamma is not None and not isinstance(gamma, (int, float)):
+    if gamma is not None and not is_number(gamma):
         raise SpecFormatError(f"{where}: gamma must be a number")
     weights = obj.get("weights")
     if weights is not None:
-        if not isinstance(weights, list) or not all(
-            isinstance(w, (int, float)) for w in weights
-        ):
+        if not isinstance(weights, list) or not all(is_number(w) for w in weights):
             raise SpecFormatError(f"{where}: weights must be a list of numbers")
         weights = tuple(float(w) for w in weights)
     order = obj.get("order")
@@ -326,7 +354,7 @@ def spec_to_json(spec: GraphSpec, indent: int | None = 2) -> str:
             for (src, dst), g in spec.transitions.items()
         ],
     }
-    return json.dumps(obj, indent=indent, sort_keys=True)
+    return dumps(obj, indent)
 
 
 def spec_from_json(text: str) -> GraphSpec:
@@ -341,7 +369,7 @@ def spec_from_json(text: str) -> GraphSpec:
         if key not in obj:
             raise SpecFormatError(f"missing required key {key!r}")
     alpha = obj["alpha"]
-    if not isinstance(alpha, (int, float)):
+    if not is_number(alpha):
         raise SpecFormatError("alpha must be a number")
     if not isinstance(obj["layers"], list):
         raise SpecFormatError("layers must be a list of lists")
@@ -363,7 +391,7 @@ def spec_from_json(text: str) -> GraphSpec:
             hyps = fam["hypotheses"]
             if not isinstance(hyps, list) or not all(isinstance(h, str) for h in hyps):
                 raise SpecFormatError(f"{where}: hypotheses must be a list of labels")
-            if not isinstance(fam["alpha"], (int, float)):
+            if not is_number(fam["alpha"]):
                 raise SpecFormatError(f"{where}: alpha must be a number")
             proc = _procedure_from_obj(fam["procedure"], where)
             fams.append((fam["id"], hyps, float(fam["alpha"]), proc))
@@ -377,7 +405,7 @@ def spec_from_json(text: str) -> GraphSpec:
         for key in ("from", "to", "g"):
             if key not in entry:
                 raise SpecFormatError(f"{where}: missing key {key!r}")
-        if not isinstance(entry["g"], (int, float)):
+        if not is_number(entry["g"]):
             raise SpecFormatError(f"{where}: g must be a number")
         pair = (entry["from"], entry["to"])
         if pair in transitions:

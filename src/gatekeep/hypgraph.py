@@ -28,8 +28,10 @@ from .graph import (
     GraphSpec,
     SUM_TOL,
     ValidationOutcome,
+    is_number,
     make_spec,
 )
+from .jsontext import dumps
 from . import procedures as proc
 
 _REAL_EPS = 1e-14
@@ -144,14 +146,12 @@ def _dual_transitions(graph: HypothesisGraph) -> list[list[Dual]]:
 
 
 def _rejects(p: float, w: Dual, alpha: float) -> bool:
+    # <= on the real part, as the family engine compares; the eps part only
+    # decides a zero real part (then only p = 0 rejects).
     threshold = w[0] * alpha
     if p < threshold:
         return True
-    if p == threshold:
-        if w[1] > 0.0:
-            return True
-        return w[1] == 0.0 and w[0] > 0.0
-    return False
+    return p == threshold and (w[0] > 0.0 or w[1] > 0.0)
 
 
 def run_hypothesis_graph(
@@ -366,7 +366,7 @@ def graph_to_json(graph: HypothesisGraph, indent: int | None = 2) -> str:
         "transitions": [list(row) for row in graph.transitions],
         "epsilon_edges": sorted([j, k] for j, k in graph.epsilon_edges),
     }
-    return json.dumps(obj, indent=indent, sort_keys=True)
+    return dumps(obj, indent)
 
 
 def _reject_constant(name: str):
@@ -383,21 +383,19 @@ def graph_from_json(text: str) -> HypothesisGraph:
     for key in ("alpha", "hypotheses", "weights", "transitions"):
         if key not in obj:
             raise SpecFormatError(f"missing required key {key!r}")
-    if not isinstance(obj["alpha"], (int, float)):
+    if not is_number(obj["alpha"]):
         raise SpecFormatError("alpha must be a number")
     labels = obj["hypotheses"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise SpecFormatError("hypotheses must be a list of labels")
     weights = obj["weights"]
-    if not isinstance(weights, list) or not all(
-        isinstance(x, (int, float)) for x in weights
-    ):
+    if not isinstance(weights, list) or not all(is_number(x) for x in weights):
         raise SpecFormatError("weights must be a list of numbers")
     rows = obj["transitions"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SpecFormatError("transitions must be a matrix")
     for row in rows:
-        if not all(isinstance(x, (int, float)) for x in row):
+        if not all(is_number(x) for x in row):
             raise SpecFormatError("transitions must be numeric")
     eps = []
     for entry in obj.get("epsilon_edges", []):

@@ -36,8 +36,9 @@ import numpy as np
 
 # SweepError lives in errors.py so that the CLI can catch it without loading
 # numpy; it stays importable from here.
-from .errors import InvalidSpecError, SpecFormatError, SweepError
-from .graph import GraphSpec, spec_from_json, spec_to_json, validate_spec
+from .errors import SpecFormatError, SweepError
+from .graph import GraphSpec, is_number, spec_from_json, spec_to_json
+from .jsontext import dumps
 from .procedures import LocalProcedureSpec
 
 MODEL_KINDS = ("independent_uniform", "equicorrelated_normal")
@@ -379,20 +380,15 @@ class _Outcome:
 
 
 def _compile(spec: GraphSpec) -> tuple[_Family, ...]:
-    """Validate `spec` and resolve its families in execution order."""
-    outcome = validate_spec(spec)
-    if not outcome.ok:
-        raise InvalidSpecError(outcome.violations)
-    families = list(spec.families())
-    position = {fam.index: k for k, fam in enumerate(families)}
+    """Resolve the families of `spec`'s plan (which validates it) to columns."""
+    families = spec.plan.families
+    position = {fam.name: k for k, fam in enumerate(families)}
     starts = [0, *itertools.accumulate(fam.size for fam in families)]
     scopes = [set(range(starts[k], starts[k + 1])) for k in range(len(families))]
     into: list[list[tuple[int, float]]] = [[] for _ in families]
     passes_on = [False] * len(families)
     for k, fam in enumerate(families):
-        for target, g in spec.transitions.outgoing(fam.index).items():
-            if g <= 0.0:
-                continue
+        for target, g in spec.plan.edges[fam.name]:
             dst = position[target]
             # Edges only point at later layers, so scopes[k] is complete here.
             scopes[dst] |= scopes[k]
@@ -479,6 +475,16 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
     return np.concatenate([outcome.rejected for outcome in outcomes], axis=1)
 
 
+def _row_sum(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row, the sum of w over the columns set in mask, folded left to
+    right as the scalar procedures add it (numpy's own sum goes pairwise
+    from 8 columns, which can differ in the last bit)."""
+    total = np.zeros(mask.shape[0])
+    for j in range(mask.shape[1]):
+        total += np.where(mask[:, j], w[j], 0.0)
+    return total
+
+
 def _batch_test(proc, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
     """Vectorized twin of procedures.test_family over replicate rows."""
     reps, n = pmat.shape
@@ -491,7 +497,7 @@ def _batch_test(proc, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
         w = np.array(proc.weights) if proc.weights else np.full(n, 1.0 / n)
         active = np.ones((reps, n), dtype=bool)
         for _ in range(n):
-            total = (active * w[None, :]).sum(axis=1)
+            total = _row_sum(active, w)
             thr = (w[None, :] / np.maximum(total, 1e-300)[:, None]) * level[:, None]
             thr = np.where((total > 0.0)[:, None], thr, 0.0)
             eligible = active & (pmat <= thr) & (thr > 0.0)
@@ -552,7 +558,7 @@ def _batch_bound(proc, accepted: np.ndarray, level: np.ndarray) -> np.ndarray:
     nonempty = count > 0
     if proc.kind == "bonferroni":
         w = np.array(proc.weights) if proc.weights else np.full(n, 1.0 / n)
-        bound = level * (accepted * w[None, :]).sum(axis=1)
+        bound = level * _row_sum(accepted, w)
     elif proc.kind in ("holm", "hochberg", "fixed_sequence"):
         bound = np.where(nonempty, level, 0.0)
     else:  # truncated_holm, truncated_hochberg
@@ -578,13 +584,12 @@ def sim_config_to_json(config: SimConfig, indent: int | None = 2) -> str:
         "reps": config.reps,
         "seed": config.seed,
     }
-    return json.dumps(obj, indent=indent, sort_keys=True)
+    return dumps(obj, indent)
 
 
 def _model_number(model_obj: dict, key: str, default: float) -> float:
     value = model_obj.get(key, default)
-    # bool is a subclass of int, but `true` is not a number here.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_number(value):
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the float range
@@ -656,4 +661,4 @@ def sim_result_obj(result: SimResult) -> dict:
 
 
 def sim_result_to_json(result: SimResult, indent: int | None = 2) -> str:
-    return json.dumps(sim_result_obj(result), indent=indent, sort_keys=True)
+    return dumps(sim_result_obj(result), indent)

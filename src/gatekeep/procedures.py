@@ -233,22 +233,22 @@ def _step_up(p, thresholds) -> frozenset[int]:
 
 
 def _weighted_holm(p, level, weights) -> frozenset[int]:
-    # Step-down: reject the smallest weight-adjusted p among the remaining
-    # hypotheses while it clears its renormalized threshold.
-    remaining = set(range(len(p)))
+    # Step-down: reject every remaining hypothesis that clears its
+    # renormalized threshold, until none does. Rejecting one only raises the
+    # others' thresholds, so this is the one-at-a-time walk; testing only the
+    # smallest p / w would stop early where two ratios round to a tie.
+    remaining = list(range(len(p)))
     rejected: set[int] = set()
     while remaining:
         total = sum(weights[k] for k in remaining)
         if total <= 0.0:
             break
-        candidates = [k for k in remaining if weights[k] > 0.0]
-        k_star = min(candidates, key=lambda k: (p[k] / weights[k], k))
-        if _le_positive(p[k_star], weights[k_star] / total * level):
-            rejected.add(k_star + 1)
-            remaining.remove(k_star)
-        else:
+        eligible = {k for k in remaining if _le_positive(p[k], weights[k] / total * level)}
+        if not eligible:
             break
-    return frozenset(rejected)
+        rejected |= eligible
+        remaining = [k for k in remaining if k not in eligible]
+    return frozenset(k + 1 for k in rejected)
 
 
 def error_rate_bound(
@@ -275,7 +275,7 @@ def error_rate_bound(
         return 0.0
     if proc.kind == "bonferroni":
         w = proc.weights or _equal_weights(n)
-        bound = level * sum(w[k - 1] for k in a)
+        bound = level * sum(w[k - 1] for k in sorted(a))  # in index order, as batch_run adds
     elif proc.kind in ("holm", "hochberg", "fixed_sequence"):
         bound = level
     else:  # truncated_holm, truncated_hochberg

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,48 @@ def rejected_labels(report: gk.TestReport) -> frozenset[str]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# JSON booleans where a number belongs
+# ---------------------------------------------------------------------------
+
+SPEC_NUMBER_FIELDS = ("alpha", "family alpha", "g", "gamma", "weights")
+GRAPH_NUMBER_FIELDS = ("alpha", "weights", "transitions")
+
+
+def spec_text_with_true(field: str) -> str:
+    """A valid spec file with one number (in `field`) replaced by `true`."""
+    spec = gk.make_spec(
+        0.05,
+        [
+            [("F1", ["H1", "H2"], 0.03, proc.truncated_holm(0.5))],
+            [("F2", ["H3", "H4"], 0.02, proc.holm([0.5, 0.5]))],
+        ],
+        {("F1", "F2"): 1.0},
+    )
+    obj = json.loads(gk.spec_to_json(spec))
+    if field == "alpha":
+        obj["alpha"] = True
+    elif field == "family alpha":
+        obj["layers"][0][0]["alpha"] = True
+    elif field == "g":
+        obj["transitions"][0]["g"] = True
+    elif field == "gamma":
+        obj["layers"][0][0]["procedure"]["gamma"] = True
+    else:
+        obj["layers"][1][0]["procedure"]["weights"] = [True, 0]
+    return json.dumps(obj)
+
+
+def graph_text_with_true(field: str) -> str:
+    """A valid oracle graph file with one number (in `field`) replaced by `true`."""
+    obj = {"alpha": 0.05, "hypotheses": ["A", "B"], "weights": [1, 0],
+           "transitions": [[0, 1], [1, 0]]}
+    if field == "alpha":
+        obj["alpha"] = True
+    elif field == "weights":
+        obj["weights"] = [True, 0]
+    else:
+        obj["transitions"] = [[0, True], [1, 0]]
+    return json.dumps(obj)

@@ -8,7 +8,15 @@ import gatekeep as gk
 from gatekeep import cli, hypgraph
 from gatekeep.cli import parse_pvalues
 
-from conftest import TABLE_PVALUES, three_layer_step_up_spec, two_layer_fixed_sequence_spec
+from conftest import (
+    GRAPH_NUMBER_FIELDS,
+    SPEC_NUMBER_FIELDS,
+    TABLE_PVALUES,
+    graph_text_with_true,
+    spec_text_with_true,
+    three_layer_step_up_spec,
+    two_layer_fixed_sequence_spec,
+)
 
 PVALUES_CSV = "hypothesis,p\n" + "\n".join(
     f"{label},{TABLE_PVALUES[label]}" for label in sorted(TABLE_PVALUES)
@@ -71,6 +79,13 @@ class TestValidateCommand:
 
     def test_unreadable_exit_1(self, tmp_path):
         assert cli.main(["validate", "--spec", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("field", SPEC_NUMBER_FIELDS)
+    def test_bool_number_exit_1(self, tmp_path, capsys, field):
+        path = tmp_path / "spec.json"
+        path.write_text(spec_text_with_true(field))
+        assert cli.main(["validate", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_exit_1(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -279,17 +294,19 @@ class TestConsoleScript:
             "import contextlib, io, json, sys\n"
             "import gatekeep\n"
             "from gatekeep import cli\n"
-            "codes = []\n"
+            "codes, oracle = [], []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        codes.append(cli.main(argv))\n"
+            "    oracle.append('gatekeep.hypgraph' in sys.modules)\n"
             "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
             "lazy = gatekeep.batch_run is gatekeep.mcsim.batch_run\n"
+            "lazy = lazy and gatekeep.run_hypothesis_graph is gatekeep.hypgraph.run_hypothesis_graph\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes.append(cli.main(json.loads(sys.argv[2])))\n"
             "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(json.dumps([codes, heavy, lazy, scipy]))\n"
+            "print(json.dumps([codes, heavy, lazy, scipy, oracle]))\n"
         )
         simulate = ["simulate", "--config", config_path, "--seed", "3"]
         done = subprocess.run(
@@ -298,11 +315,13 @@ class TestConsoleScript:
             text=True,
         )
         assert done.returncode == 0, done.stderr
-        codes, heavy, lazy, scipy = json.loads(done.stdout)
+        codes, heavy, lazy, scipy, oracle = json.loads(done.stdout)
         assert codes == [0, 0, 0, 0, 0]
         assert heavy == []
         assert lazy
         assert scipy == []
+        # only the oracle command loads the oracle module
+        assert oracle == [False, False, False, True]
 
 
 class TestOracleCommand:
@@ -314,6 +333,15 @@ class TestOracleCommand:
         ppath.write_text("hypothesis,p\nH1,0.01\nH2,0.04\nH3,0.02\nH4,0.049\n")
         assert cli.main(["oracle", "--graph", str(gpath), "--pvalues", str(ppath)]) == 0
         assert json.loads(capsys.readouterr().out) == {"rejected": ["H1"]}
+
+    @pytest.mark.parametrize("field", GRAPH_NUMBER_FIELDS)
+    def test_bool_number_exit_1(self, tmp_path, capsys, field):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(graph_text_with_true(field))
+        ppath = tmp_path / "p.csv"
+        ppath.write_text("hypothesis,p\nA,0.01\nB,0.5\n")
+        assert cli.main(["oracle", "--graph", str(gpath), "--pvalues", str(ppath)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_graph_exit_2(self, tmp_path):
         graph, _ = hypgraph.bonferroni_gate_pair(0.05)

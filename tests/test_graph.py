@@ -6,7 +6,13 @@ import gatekeep as gk
 from gatekeep import procedures as proc
 from gatekeep.graph import SUM_TOL
 
-from conftest import parallel_split_spec, random_spec, two_layer_fixed_sequence_spec
+from conftest import (
+    SPEC_NUMBER_FIELDS,
+    parallel_split_spec,
+    random_spec,
+    spec_text_with_true,
+    two_layer_fixed_sequence_spec,
+)
 
 
 def chain_spec():
@@ -214,6 +220,11 @@ class TestJson:
         """
         with pytest.raises(gk.SpecFormatError, match="duplicate edge"):
             gk.spec_from_json(text)
+
+    @pytest.mark.parametrize("field", SPEC_NUMBER_FIELDS)
+    def test_bool_is_not_a_number(self, field):
+        with pytest.raises(gk.SpecFormatError, match="must be a"):
+            gk.spec_from_json(spec_text_with_true(field))
 
     def test_unknown_transition_family(self):
         text = """

@@ -7,7 +7,7 @@ import pytest
 import gatekeep as gk
 from gatekeep import hypgraph as hg
 
-from conftest import rejected_labels
+from conftest import GRAPH_NUMBER_FIELDS, graph_text_with_true, rejected_labels
 
 
 def plain_graph(alpha, labels, weights, cells, eps=()):
@@ -232,6 +232,11 @@ class TestJson:
             hg.graph_from_json(
                 '{"alpha": "0.05", "hypotheses": ["A"], "weights": [1], "transitions": [[0]]}'
             )
+
+    @pytest.mark.parametrize("field", GRAPH_NUMBER_FIELDS)
+    def test_bool_is_not_a_number(self, field):
+        with pytest.raises(gk.SpecFormatError, match="must be"):
+            hg.graph_from_json(graph_text_with_true(field))
 
     def test_malformed(self):
         with pytest.raises(gk.SpecFormatError):

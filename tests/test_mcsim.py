@@ -391,6 +391,23 @@ class TestBatchAgreesWithEngine:
         expect = [report.decisions[l] == "S" for l in labels]
         assert mcsim.batch_run(spec, pmat)[0].tolist() == expect
 
+    def test_weighted_holm_first_step_tie_with_nine_weights(self):
+        # numpy sums a row pairwise from 8 columns, the scalar engine left to
+        # right; a total one ulp apart moves the first threshold off the tie
+        labels = [f"H{k}" for k in range(1, 10)]
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            raw = rng.uniform(0.05, 1.0, 9)
+            w = tuple(float(x) for x in raw / raw.sum())
+            spec = gk.make_spec(0.05, [[("F1", labels, 0.05, proc.holm(w))]])
+            k = int(np.argmax(w))
+            pmat = np.ones((1, 9))
+            pmat[0, k] = w[k] / sum(w) * 0.05  # the engine's first-step threshold
+            report = gk.run(spec, dict(zip(labels, pmat[0])))
+            assert report.decisions[labels[k]] == "S"
+            expect = [report.decisions[l] == "S" for l in labels]
+            assert mcsim.batch_run(spec, pmat)[0].tolist() == expect
+
     def test_batch_run_validates(self):
         spec = gk.make_spec(0.05, [[("F1", ["H1"], 0.2, proc.bonferroni())]])
         with pytest.raises(gk.InvalidSpecError):
