@@ -32,7 +32,6 @@ from .errors import GatekeepError, InvalidSpecError, SpecFormatError, SweepError
 from .graph import (
     FamilySpec,
     GraphSpec,
-    HypothesisRef,
     TransitionCoefficients,
     ValidationOutcome,
     make_spec,
@@ -78,7 +77,6 @@ __all__ = [
     "GatekeepError",
     "GraphSpec",
     "HypothesisGraph",
-    "HypothesisRef",
     "InvalidSpecError",
     "LocalProcedureSpec",
     "PValueModel",

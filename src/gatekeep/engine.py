@@ -11,21 +11,20 @@ trail.
 `step` advances one family at a time and never mutates its input state, so
 callers can fork execution paths. `replay` re-derives every level, bound
 and transfer from a report's rejection sets, catching corrupted or
-hand-edited reports. All three apply one update rule, `_advance`; `run` and
-`replay` walk the spec's plan (`GraphSpec.plan`), which is validated and
-resolved once per spec object.
+hand-edited reports. All three apply one update rule, `_advance`, and test
+with the kernels of the spec's plan (`GraphSpec.plan`), which is validated
+and resolved once per spec object.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
-from .jsontext import dumps
-from .procedures import FamilyTestInput, error_rate_bound, test_family
+from .jsontext import dumps, loads
+from .procedures import Kernel
 
 REPLAY_TOL = 1e-12
 
@@ -71,37 +70,40 @@ class ExecutionState:
 
 
 def initial_state(spec: GraphSpec) -> ExecutionState:
-    name_of = {fam.index: fam.name for fam in spec.families()}
     return ExecutionState(
         remaining=tuple(
             frozenset(fam.name for fam in layer) for layer in spec.layers
         ),
         current_alpha={fam.name: fam.initial_alpha for fam in spec.families()},
-        current_g={
-            (name_of[src], name_of[dst]): g
-            for (src, dst), g in spec.transitions.items()
-        },
+        current_g=dict(spec.transitions.entries),
     )
 
 
-def _advance(fam: FamilySpec, level: float, accepted, edges):
-    """The update rules after testing `fam` at `level`: its bound
+def _check_pvalues(families: Iterable[FamilySpec], pvalues: Mapping[str, float]) -> None:
+    for fam in families:
+        for k, label in enumerate(fam.labels, start=1):
+            p = pvalues[label]
+            if not 0.0 <= p <= 1.0:  # NaN included
+                raise ValueError(f"p-value {p!r} at position {k} outside [0, 1]")
+
+
+def _advance(kernel: Kernel, level: float, accepted, edges):
+    """The update rules after testing a family at `level`: its bound
     e*(accepted) and one transfer of (level - e*) * g per (target, g) edge,
     in edge order."""
-    e_star = error_rate_bound(fam.procedure, accepted, fam.size, level)
+    e_star = kernel.e_star(level, accepted)
     spendable = max(level - e_star, 0.0)
     return e_star, tuple(Transfer(dst, spendable * g) for dst, g in edges)
 
 
-def _test(fam: FamilySpec, level: float, pvalues: Mapping[str, float], edges) -> FamilyOutcome:
+def _test(
+    fam: FamilySpec, kernel: Kernel, level: float, pvalues: Mapping[str, float], edges
+) -> FamilyOutcome:
     """Test `fam` at `level` and advance along `edges`."""
     labels = fam.labels
-    rejected_idx = test_family(
-        fam.procedure,
-        FamilyTestInput(tuple(pvalues[label] for label in labels), level, labels),
-    )
+    rejected_idx = kernel.test(tuple(pvalues[label] for label in labels), level)
     accepted_idx = frozenset(range(1, fam.size + 1)) - rejected_idx
-    e_star, transfers = _advance(fam, level, accepted_idx, edges)
+    e_star, transfers = _advance(kernel, level, accepted_idx, edges)
     return FamilyOutcome(
         family=fam.name,
         level_used=level,
@@ -140,12 +142,17 @@ def step(
                 )
         raise ValueError(f"family {family!r} is not an untested family")
 
-    by_name = spec.plan.by_name
+    plan = spec.plan
+    fam = plan.by_name[family]
+    level = state.current_alpha[family]
+    _check_pvalues((fam,), pvalues)
+    if not 0.0 <= level <= 1.0:
+        raise ValueError(f"level {level!r} outside [0, 1]")
     edges = sorted(
         ((dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0),
-        key=lambda e: by_name[e[0]].index,
+        key=lambda e: plan.position[e[0]],
     )
-    outcome = _test(by_name[family], state.current_alpha[family], pvalues, edges)
+    outcome = _test(fam, plan.kernels[family], level, pvalues, edges)
 
     new_alpha = dict(state.current_alpha)
     for t in outcome.transfers:
@@ -164,7 +171,8 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
     """Execute the whole strategy on one p-value map.
 
     Raises InvalidSpecError if the spec has constraint violations and
-    ValueError if `pvalues` does not cover exactly the spec's labels.
+    ValueError if `pvalues` does not cover exactly the spec's labels or
+    holds a value outside [0, 1].
     """
     plan = spec.plan
     if pvalues.keys() != plan.labels:
@@ -176,12 +184,15 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
         if extra:
             parts.append(f"p-values for unknown labels {extra}")
         raise ValueError("; ".join(parts))
+    _check_pvalues(plan.families, pvalues)
 
     levels = {fam.name: fam.initial_alpha for fam in plan.families}
     outcomes = []
     decisions = {}
     for fam in plan.families:
-        result = _test(fam, levels[fam.name], pvalues, plan.edges[fam.name])
+        result = _test(
+            fam, plan.kernels[fam.name], levels[fam.name], pvalues, plan.edges[fam.name]
+        )
         for t in result.transfers:
             levels[t.target] += t.amount
         outcomes.append(result)
@@ -208,18 +219,18 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
 
     v: list[str] = []
     levels = {fam.name: fam.initial_alpha for fam in plan.families}
-    untested = [len(layer) for layer in spec.layers]
+    untested = [{fam.name for fam in layer} for layer in spec.layers]
     current = 0  # the earliest layer with untested families
     for o in report.outcomes:
         fam = plan.by_name[o.family]
         where = f"family {o.family}"
         while not untested[current]:
             current += 1
-        if fam.index[0] != current + 1:
+        if o.family not in untested[current]:
             raise ValueError(
                 f"{where}: tested out of order (layer {current + 1} was current)"
             )
-        untested[current] -= 1
+        untested[current].remove(o.family)
 
         if o.rejected | o.accepted != set(fam.labels) or (o.rejected & o.accepted):
             raise ValueError(
@@ -234,7 +245,9 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
         accepted_idx = frozenset(
             k for k, label in enumerate(fam.labels, start=1) if label in o.accepted
         )
-        e_star, transfers = _advance(fam, level, accepted_idx, plan.edges[o.family])
+        e_star, transfers = _advance(
+            plan.kernels[o.family], level, accepted_idx, plan.edges[o.family]
+        )
         if abs(o.e_star - e_star) > REPLAY_TOL:
             v.append(f"{where}: e_star {o.e_star!r}, re-derived {e_star!r}")
 
@@ -296,10 +309,7 @@ def report_to_json(report: TestReport, indent: int | None = 2) -> str:
 
 
 def report_from_json(text: str) -> TestReport:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"not valid JSON: {exc}") from None
+    obj = loads(text)
     if not isinstance(obj, dict) or "outcomes" not in obj or "decisions" not in obj:
         raise SpecFormatError("report must have 'outcomes' and 'decisions'")
     outcomes = []

@@ -2,9 +2,10 @@
 values, and the transition coefficients that route unspent critical value
 from earlier layers to later ones.
 
-A strategy is a directed acyclic graph whose nodes are families. Layer and
-family addressing is 1-based throughout: family (i, j) is the j-th family of
-the i-th layer. Constraints enforced by :func:`validate_spec`:
+A strategy is a directed acyclic graph whose nodes are families, named
+uniquely; transitions are keyed by (source name, target name). Validation
+messages address family (i, j), the j-th family of the i-th layer, 1-based.
+Constraints enforced by :func:`validate_spec`:
 
   * every transition coefficient lies in [0, 1];
   * coefficients only point at strictly later layers;
@@ -17,59 +18,42 @@ literals (0.8 + 0.2) validate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidSpecError, SpecFormatError
-from .jsontext import dumps
-from .procedures import KINDS, LocalProcedureSpec, check_procedure
+from .jsontext import as_float, as_floats, dumps, loads
+from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure
 
 SUM_TOL = 1e-12
-
-FamilyIndex = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class HypothesisRef:
-    """One hypothesis: its (layer, family, position) address and label."""
-
-    layer: int
-    family: int
-    index: int
-    label: str
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A family of hypotheses with its local procedure and initial level."""
 
-    index: FamilyIndex
     name: str
-    hypotheses: tuple[HypothesisRef, ...]
+    labels: tuple[str, ...]
     initial_alpha: float
     procedure: LocalProcedureSpec
 
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(h.label for h in self.hypotheses)
-
     @property
     def size(self) -> int:
-        return len(self.hypotheses)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
 class TransitionCoefficients:
-    """Sparse map from ordered family pair to coefficient; absent means 0.
+    """Sparse map from (source name, target name) to coefficient; absent
+    means 0.
 
     `entries` is a read-only copy of the mapping it is built with, so that
     a spec's cached plan cannot go stale.
     """
 
-    entries: Mapping[tuple[FamilyIndex, FamilyIndex], float]
+    entries: Mapping[tuple[str, str], float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
@@ -78,7 +62,7 @@ class TransitionCoefficients:
         return TransitionCoefficients, (dict(self.entries),)
 
     def items(self):
-        return sorted(self.entries.items())
+        return self.entries.items()
 
 
 @dataclass(frozen=True)
@@ -87,6 +71,8 @@ class Plan:
 
     families: tuple[FamilySpec, ...]  # execution order
     by_name: Mapping[str, FamilySpec]
+    position: Mapping[str, int]  # by name: place in execution order
+    kernels: Mapping[str, Kernel]  # by name
     labels: frozenset[str]
     # by source name: (target name, g) for each g > 0, targets in execution order
     edges: Mapping[str, tuple[tuple[str, float], ...]]
@@ -105,12 +91,8 @@ class GraphSpec:
         for layer in self.layers:
             yield from layer
 
-    def family_at(self, index: FamilyIndex) -> FamilySpec:
-        i, j = index
-        return self.layers[i - 1][j - 1]
-
     def labels(self) -> tuple[str, ...]:
-        return tuple(h.label for fam in self.families() for h in fam.hypotheses)
+        return tuple(label for fam in self.families() for label in fam.labels)
 
     @cached_property
     def plan(self) -> Plan:
@@ -124,15 +106,30 @@ class GraphSpec:
             raise InvalidSpecError(outcome.violations)
         families = tuple(self.families())
         edges: dict[str, list[tuple[str, float]]] = {fam.name: [] for fam in families}
-        for (src, dst), g in self.transitions.items():  # sorted: targets in order
+        for (src, dst), g in _in_order(self):
             if g > 0.0:
-                edges[self.family_at(src).name].append((self.family_at(dst).name, g))
+                edges[src].append((dst, g))
         return Plan(
             families=families,
             by_name={fam.name: fam for fam in families},
+            position={fam.name: k for k, fam in enumerate(families)},
+            kernels={
+                fam.name: Kernel.of(fam.procedure, fam.size, fam.labels) for fam in families
+            },
             labels=frozenset(self.labels()),
             edges={name: tuple(out) for name, out in edges.items()},
         )
+
+
+def _in_order(spec: GraphSpec) -> list[tuple[tuple[str, str], float]]:
+    """The transition entries by the execution positions of source, then
+    target; names the spec does not have go last, by name."""
+    position = {fam.name: k for k, fam in enumerate(spec.families())}
+    last = len(position)
+    return sorted(
+        spec.transitions.entries.items(),
+        key=lambda e: tuple((position.get(name, last), name) for name in e[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -160,28 +157,21 @@ def make_spec(
     to :func:`validate_spec`.
     """
     built_layers: list[tuple[FamilySpec, ...]] = []
-    index_of: dict[str, FamilyIndex] = {}
-    for i, layer in enumerate(layers, start=1):
+    names: set[str] = set()
+    for layer in layers:
         fams = []
-        for j, (name, labels, a0, proc) in enumerate(layer, start=1):
-            if name in index_of:
+        for name, labels, a0, proc in layer:
+            if name in names:
                 raise SpecFormatError(f"duplicate family name {name!r}")
-            index_of[name] = (i, j)
-            hyps = tuple(
-                HypothesisRef(i, j, k, str(label))
-                for k, label in enumerate(labels, start=1)
-            )
-            fams.append(FamilySpec((i, j), name, hyps, float(a0), proc))
+            names.add(name)
+            fams.append(FamilySpec(name, tuple(str(label) for label in labels), float(a0), proc))
         built_layers.append(tuple(fams))
-    entries: dict[tuple[FamilyIndex, FamilyIndex], float] = {}
+    entries: dict[tuple[str, str], float] = {}
     for (src, dst), g in (transitions or {}).items():
         for name in (src, dst):
-            if name not in index_of:
+            if name not in names:
                 raise SpecFormatError(f"transition references unknown family {name!r}")
-        key = (index_of[src], index_of[dst])
-        if key in entries:
-            raise SpecFormatError(f"duplicate transition {src!r} -> {dst!r}")
-        entries[key] = float(g)
+        entries[(src, dst)] = float(g)
     return GraphSpec(float(alpha), tuple(built_layers), TransitionCoefficients(entries))
 
 
@@ -193,7 +183,7 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
     if not spec.layers:
         v.append("no layers")
 
-    names: dict[str, FamilyIndex] = {}
+    address: dict[str, tuple[int, int]] = {}
     labels: dict[str, str] = {}
     alpha_sum = 0.0
     for i, layer in enumerate(spec.layers, start=1):
@@ -201,28 +191,21 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
             v.append(f"layer {i} is empty")
         for j, fam in enumerate(layer, start=1):
             where = f"family {fam.name}"
-            if fam.index != (i, j):
-                v.append(f"{where}: index {fam.index} does not match position ({i}, {j})")
-            if fam.name in names:
+            if fam.name in address:
                 v.append(f"duplicate family name {fam.name!r}")
-            names[fam.name] = (i, j)
+            address[fam.name] = (i, j)
             if fam.size < 1:
                 v.append(f"{where}: no hypotheses")
             if not 0.0 <= fam.initial_alpha <= 1.0:
                 v.append(f"{where}: initial alpha {fam.initial_alpha!r} outside [0, 1]")
             alpha_sum += fam.initial_alpha
-            for k, hyp in enumerate(fam.hypotheses, start=1):
-                if (hyp.layer, hyp.family, hyp.index) != (i, j, k):
+            for label in fam.labels:
+                if label in labels:
                     v.append(
-                        f"{where}: hypothesis {hyp.label!r} addressed "
-                        f"({hyp.layer}, {hyp.family}, {hyp.index}), expected ({i}, {j}, {k})"
+                        f"duplicate hypothesis label {label!r} "
+                        f"(in {labels[label]} and {fam.name})"
                     )
-                if hyp.label in labels:
-                    v.append(
-                        f"duplicate hypothesis label {hyp.label!r} "
-                        f"(in {labels[hyp.label]} and {fam.name})"
-                    )
-                labels[hyp.label] = fam.name
+                labels[label] = fam.name
             for problem in check_procedure(fam.procedure, fam.size, fam.labels):
                 v.append(f"{where}: {problem}")
 
@@ -232,25 +215,23 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
             f"exceeding global alpha {spec.global_alpha!r}"
         )
 
-    known = set(names.values())
-    row_sums: dict[FamilyIndex, float] = {}
-    for (src, dst), g in spec.transitions.items():
-        edge = f"transition {src} -> {dst}"
-        if src not in known or dst not in known:
+    row_sums: dict[str, float] = {}  # by source, in execution order
+    for (src, dst), g in _in_order(spec):
+        edge = f"transition {address.get(src, src)} -> {address.get(dst, dst)}"
+        if src not in address or dst not in address:
             v.append(f"{edge}: unknown family")
             continue
         if not 0.0 <= g <= 1.0:
             v.append(f"{edge}: coefficient {g!r} outside [0, 1]")
-        if src[0] >= dst[0]:
+        if address[src][0] >= address[dst][0]:
             v.append(
                 f"backward edge {edge}: coefficient must be 0 "
                 f"unless the target layer is strictly later"
             )
         row_sums[src] = row_sums.get(src, 0.0) + g
-    for src in sorted(row_sums):
-        total = row_sums[src]
+    for src, total in row_sums.items():
         if total > 1.0 + SUM_TOL:
-            v.append(f"row sum {total!r} > 1 for family {spec.family_at(src).name}")
+            v.append(f"row sum {total!r} > 1 for family {src}")
 
     return ValidationOutcome(tuple(v))
 
@@ -303,11 +284,6 @@ def _procedure_to_obj(proc: LocalProcedureSpec) -> dict:
     return obj
 
 
-def is_number(x) -> bool:
-    # bool is a subclass of int, but JSON `true` is not a number.
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: procedure must be an object")
@@ -315,26 +291,25 @@ def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
     if kind not in KINDS:
         raise SpecFormatError(f"{where}: unknown procedure kind {kind!r}")
     gamma = obj.get("gamma")
-    if gamma is not None and not is_number(gamma):
-        raise SpecFormatError(f"{where}: gamma must be a number")
+    if gamma is not None:
+        gamma = as_float(gamma)
+        if gamma is None:
+            raise SpecFormatError(f"{where}: gamma must be a number")
     weights = obj.get("weights")
     if weights is not None:
-        if not isinstance(weights, list) or not all(is_number(w) for w in weights):
+        weights = as_floats(weights)
+        if weights is None:
             raise SpecFormatError(f"{where}: weights must be a list of numbers")
-        weights = tuple(float(w) for w in weights)
     order = obj.get("order")
     if order is not None:
         if not isinstance(order, list) or not all(isinstance(s, str) for s in order):
             raise SpecFormatError(f"{where}: order must be a list of labels")
         order = tuple(order)
-    return LocalProcedureSpec(
-        kind, gamma=None if gamma is None else float(gamma), weights=weights, order=order
-    )
+    return LocalProcedureSpec(kind, gamma=gamma, weights=weights, order=order)
 
 
 def spec_to_json(spec: GraphSpec, indent: int | None = 2) -> str:
     """Serialize to the spec-file schema; lossless float round-trip."""
-    name_of = {fam.index: fam.name for fam in spec.families()}
     obj = {
         "alpha": spec.global_alpha,
         "layers": [
@@ -350,8 +325,7 @@ def spec_to_json(spec: GraphSpec, indent: int | None = 2) -> str:
             for layer in spec.layers
         ],
         "transitions": [
-            {"from": name_of[src], "to": name_of[dst], "g": g}
-            for (src, dst), g in spec.transitions.items()
+            {"from": src, "to": dst, "g": g} for (src, dst), g in _in_order(spec)
         ],
     }
     return dumps(obj, indent)
@@ -359,17 +333,14 @@ def spec_to_json(spec: GraphSpec, indent: int | None = 2) -> str:
 
 def spec_from_json(text: str) -> GraphSpec:
     """Parse the spec-file schema. Raises SpecFormatError on malformed input."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"not valid JSON: {exc}") from None
+    obj = loads(text)
     if not isinstance(obj, dict):
         raise SpecFormatError("top level must be an object")
     for key in ("alpha", "layers"):
         if key not in obj:
             raise SpecFormatError(f"missing required key {key!r}")
-    alpha = obj["alpha"]
-    if not is_number(alpha):
+    alpha = as_float(obj["alpha"])
+    if alpha is None:
         raise SpecFormatError("alpha must be a number")
     if not isinstance(obj["layers"], list):
         raise SpecFormatError("layers must be a list of lists")
@@ -391,25 +362,32 @@ def spec_from_json(text: str) -> GraphSpec:
             hyps = fam["hypotheses"]
             if not isinstance(hyps, list) or not all(isinstance(h, str) for h in hyps):
                 raise SpecFormatError(f"{where}: hypotheses must be a list of labels")
-            if not is_number(fam["alpha"]):
+            fam_alpha = as_float(fam["alpha"])
+            if fam_alpha is None:
                 raise SpecFormatError(f"{where}: alpha must be a number")
             proc = _procedure_from_obj(fam["procedure"], where)
-            fams.append((fam["id"], hyps, float(fam["alpha"]), proc))
+            fams.append((fam["id"], hyps, fam_alpha, proc))
         layers.append(fams)
 
+    entries = obj.get("transitions", [])
+    if not isinstance(entries, list):
+        raise SpecFormatError("transitions must be a list")
     transitions: dict[tuple[str, str], float] = {}
-    for t, entry in enumerate(obj.get("transitions", []), start=1):
+    for t, entry in enumerate(entries, start=1):
         where = f"transition {t}"
         if not isinstance(entry, dict):
             raise SpecFormatError(f"{where}: must be an object")
         for key in ("from", "to", "g"):
             if key not in entry:
                 raise SpecFormatError(f"{where}: missing key {key!r}")
-        if not is_number(entry["g"]):
+        g = as_float(entry["g"])
+        if g is None:
             raise SpecFormatError(f"{where}: g must be a number")
         pair = (entry["from"], entry["to"])
+        if not all(isinstance(name, str) for name in pair):
+            raise SpecFormatError(f"{where}: from and to must be family ids")
         if pair in transitions:
             raise SpecFormatError(f"{where}: duplicate edge {pair[0]!r} -> {pair[1]!r}")
-        transitions[pair] = float(entry["g"])
+        transitions[pair] = g
 
     return make_spec(alpha, layers, transitions)

@@ -18,20 +18,13 @@ whose eps part is positive rejects only p = 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import InvalidSpecError, SpecFormatError
-from .graph import (
-    GraphSpec,
-    SUM_TOL,
-    ValidationOutcome,
-    is_number,
-    make_spec,
-)
-from .jsontext import dumps
+from .graph import GraphSpec, SUM_TOL, ValidationOutcome, make_spec
+from .jsontext import as_float, as_floats, dumps, loads
 from . import procedures as proc
 
 _REAL_EPS = 1e-14
@@ -374,29 +367,27 @@ def _reject_constant(name: str):
 
 
 def graph_from_json(text: str) -> HypothesisGraph:
-    try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"not valid JSON: {exc}") from None
+    obj = loads(text, parse_constant=_reject_constant)
     if not isinstance(obj, dict):
         raise SpecFormatError("top level must be an object")
     for key in ("alpha", "hypotheses", "weights", "transitions"):
         if key not in obj:
             raise SpecFormatError(f"missing required key {key!r}")
-    if not is_number(obj["alpha"]):
+    alpha = as_float(obj["alpha"])
+    if alpha is None:
         raise SpecFormatError("alpha must be a number")
     labels = obj["hypotheses"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise SpecFormatError("hypotheses must be a list of labels")
-    weights = obj["weights"]
-    if not isinstance(weights, list) or not all(is_number(x) for x in weights):
+    weights = as_floats(obj["weights"])
+    if weights is None:
         raise SpecFormatError("weights must be a list of numbers")
     rows = obj["transitions"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SpecFormatError("transitions must be a matrix")
-    for row in rows:
-        if not all(is_number(x) for x in row):
-            raise SpecFormatError("transitions must be numeric")
+    rows = [as_floats(row) for row in rows]
+    if None in rows:
+        raise SpecFormatError("transitions must be numeric")
     eps = []
     for entry in obj.get("epsilon_edges", []):
         if (
@@ -407,9 +398,9 @@ def graph_from_json(text: str) -> HypothesisGraph:
             raise SpecFormatError("epsilon_edges must be [j, k] index pairs")
         eps.append((entry[0], entry[1]))
     return HypothesisGraph(
-        alpha=float(obj["alpha"]),
+        alpha=alpha,
         labels=tuple(labels),
-        weights=tuple(float(x) for x in weights),
-        transitions=tuple(tuple(float(x) for x in row) for row in rows),
+        weights=weights,
+        transitions=tuple(rows),
         epsilon_edges=frozenset(eps),
     )

@@ -1,4 +1,8 @@
-"""Indented JSON text without the standard library's pure-Python encoder.
+"""Reading JSON input, and indented JSON text without the standard
+library's pure-Python encoder.
+
+`loads` and `as_float` are the one way input files are read: malformed
+text and numbers a float cannot hold become SpecFormatError.
 
 `json.dumps` with an indent cannot use its C encoder. `dumps` writes the
 same bytes in about half the time, appending to one list and encoding
@@ -10,6 +14,37 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+
+from .errors import SpecFormatError
+
+
+def loads(text: str, **kwargs):
+    """`json.loads(text, **kwargs)`; SpecFormatError for malformed text and
+    for nesting deeper than the parser can follow."""
+    try:
+        return json.loads(text, **kwargs)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SpecFormatError(f"not valid JSON: {exc}") from None
+
+
+def as_float(value) -> float | None:
+    """A JSON number as a float; None for anything else, a bool included
+    (JSON `true` is not a number), and for an integer beyond the float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return None
+
+
+def as_floats(values) -> tuple[float, ...] | None:
+    """A JSON list of numbers as floats; None unless every item is one."""
+    if not isinstance(values, list):
+        return None
+    out = tuple(as_float(x) for x in values)
+    return None if None in out else out
+
 
 _INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 

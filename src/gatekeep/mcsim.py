@@ -18,10 +18,12 @@ p-values exactly Uniform(0, 1). The transform is `ndtr`, a numpy port of
 the Cephes normal CDF that scipy.special.ndtr also uses, so the module
 needs numpy only.
 
-The replicate loop does not call the scalar engine; it uses a vectorized
-twin (`batch_run`) that evaluates all replicates at once. The twin is held
-to the scalar engine by agreement tests, never used in its place outside
-simulation.
+The replicate loop does not call the scalar engine. `batch_run` evaluates
+all replicates at once with batch drivers that read each family's
+thresholds and bound from the same kernel (`procedures.Kernel`) as the
+scalar engine, so the formulas exist once; agreement tests hold the two
+drivers to each other, and the hypothesis-level oracle and the lattice
+reference check the formulas independently.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import numpy as np
 # SweepError lives in errors.py so that the CLI can catch it without loading
 # numpy; it stays importable from here.
 from .errors import SpecFormatError, SweepError
-from .graph import GraphSpec, is_number, spec_from_json, spec_to_json
-from .jsontext import dumps
-from .procedures import LocalProcedureSpec
+from .graph import GraphSpec, spec_from_json, spec_to_json
+from .jsontext import as_float, dumps, loads
+from .procedures import Kernel
 
 MODEL_KINDS = ("independent_uniform", "equicorrelated_normal")
 
@@ -362,9 +364,8 @@ class _Family:
 
     cols: slice  # its columns in spec.labels() order
     scope: np.ndarray  # its columns and those of every family that can pass it level
-    procedure: LocalProcedureSpec
+    kernel: Kernel
     initial_alpha: float
-    order: tuple[int, ...] | None  # fixed_sequence order as family positions
     into: tuple[tuple[int, float], ...]  # (source's plan position, g) for each g > 0
     passes_on: bool  # has an edge with g > 0
 
@@ -381,36 +382,28 @@ class _Outcome:
 
 def _compile(spec: GraphSpec) -> tuple[_Family, ...]:
     """Resolve the families of `spec`'s plan (which validates it) to columns."""
-    families = spec.plan.families
-    position = {fam.name: k for k, fam in enumerate(families)}
+    plan = spec.plan
+    families = plan.families
     starts = [0, *itertools.accumulate(fam.size for fam in families)]
     scopes = [set(range(starts[k], starts[k + 1])) for k in range(len(families))]
     into: list[list[tuple[int, float]]] = [[] for _ in families]
-    passes_on = [False] * len(families)
     for k, fam in enumerate(families):
-        for target, g in spec.plan.edges[fam.name]:
-            dst = position[target]
+        for target, g in plan.edges[fam.name]:
+            dst = plan.position[target]
             # Edges only point at later layers, so scopes[k] is complete here.
             scopes[dst] |= scopes[k]
             into[dst].append((k, g))
-            passes_on[k] = True
-    plan = []
-    for k, fam in enumerate(families):
-        order = None
-        if fam.procedure.kind == "fixed_sequence":
-            order = tuple(fam.labels.index(label) for label in fam.procedure.order)
-        plan.append(
-            _Family(
-                cols=slice(starts[k], starts[k + 1]),
-                scope=np.array(sorted(scopes[k])),
-                procedure=fam.procedure,
-                initial_alpha=fam.initial_alpha,
-                order=order,
-                into=tuple(into[k]),
-                passes_on=passes_on[k],
-            )
+    return tuple(
+        _Family(
+            cols=slice(starts[k], starts[k + 1]),
+            scope=np.array(sorted(scopes[k])),
+            kernel=plan.kernels[fam.name],
+            initial_alpha=fam.initial_alpha,
+            into=tuple(into[k]),
+            passes_on=bool(plan.edges[fam.name]),
         )
-    return tuple(plan)
+        for k, fam in enumerate(families)
+    )
 
 
 def _evaluate(plan, p_of, memo: dict, key_of, true_null=None) -> list[_Outcome]:
@@ -435,14 +428,13 @@ def _evaluate(plan, p_of, memo: dict, key_of, true_null=None) -> list[_Outcome]:
         level = np.full(p.shape[0], fam.initial_alpha)
         for src, g in fam.into:
             level = level + outcomes[src].spendable * g
-        if fam.order is None:
-            rej = _batch_test(fam.procedure, p, level)
-        else:
-            rej = _batch_test_fixed_sequence(fam.order, p, level)
+        kernel = fam.kernel
+        rej = _BATCH_DRIVERS[kernel.kind](kernel, p, level[:, None])
         spendable = None
         if fam.passes_on:
-            e_star = _batch_bound(fam.procedure, ~rej, level)
-            spendable = np.maximum(level - e_star, 0.0)
+            accepted = ~rej
+            bound = kernel.bound(level, accepted.sum(axis=1), lambda w: _row_sum(accepted, w))
+            spendable = np.maximum(level - np.minimum(bound, level), 0.0)
         counts = hit = None
         if true_null is not None:
             # Per column: a reduction along the short axis of a C-ordered
@@ -469,7 +461,7 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
     pmat = np.asarray(pmat, dtype=float)
     if pmat.ndim != 2 or pmat.shape[1] != n:
         raise ValueError(f"p matrix must be (reps, {n})")
-    if pmat.size and (pmat.min() < 0.0 or pmat.max() > 1.0):
+    if not np.all((pmat >= 0.0) & (pmat <= 1.0)):  # NaN fails both
         raise ValueError("p-values outside [0, 1]")
     outcomes = _evaluate(plan, lambda fam: pmat[:, fam.cols], {}, lambda fam: None)
     return np.concatenate([outcome.rejected for outcome in outcomes], axis=1)
@@ -485,86 +477,63 @@ def _row_sum(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
     return total
 
 
-def _batch_test(proc, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Vectorized twin of procedures.test_family over replicate rows."""
+# The batch drivers: procedures' scalar drivers over replicate rows, with
+# `level` a column of levels (one per row) and thresholds from the kernel.
+
+
+def _batch_single_step(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
+    thr = kernel.threshold(level, weight=np.array(kernel.weights))
+    return (pmat <= thr) & (thr > 0.0)
+
+
+def _batch_fixed_point(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
+    # Step-down: reject every hypothesis in play that clears its threshold,
+    # until none does, as the scalar driver.
     reps, n = pmat.shape
-    if proc.kind == "bonferroni":
-        w = np.array(proc.weights) if proc.weights else np.full(n, 1.0 / n)
-        thr = w[None, :] * level[:, None]
-        return (pmat <= thr) & (thr > 0.0)
-
-    if proc.kind == "holm":
-        w = np.array(proc.weights) if proc.weights else np.full(n, 1.0 / n)
-        active = np.ones((reps, n), dtype=bool)
-        for _ in range(n):
-            total = _row_sum(active, w)
-            thr = (w[None, :] / np.maximum(total, 1e-300)[:, None]) * level[:, None]
-            thr = np.where((total > 0.0)[:, None], thr, 0.0)
-            eligible = active & (pmat <= thr) & (thr > 0.0)
-            if not eligible.any():
-                break
-            active &= ~eligible
-        return ~active
-
-    if proc.kind == "truncated_holm":
-        # Step-down; rejecting any batch of currently eligible hypotheses
-        # only raises later thresholds, so iterating to a fixed point gives
-        # the same set as the one-at-a-time walk.
-        active = np.ones((reps, n), dtype=bool)
-        for _ in range(n):
-            n_rem = active.sum(axis=1)
-            coef = proc.gamma / np.maximum(n_rem, 1) + (1.0 - proc.gamma) / n
-            thr = coef[:, None] * level[:, None]
-            eligible = active & (pmat <= thr) & (thr > 0.0)
-            if not eligible.any():
-                break
-            active &= ~eligible
-        return ~active
-
-    if proc.kind in ("hochberg", "truncated_hochberg"):
-        order = np.argsort(pmat, axis=1, kind="stable")
-        sorted_p = np.take_along_axis(pmat, order, axis=1)
-        i = np.arange(1, n + 1)
-        # The same expressions as procedures.test_family, so that a p-value
-        # equal to its threshold is rejected by both or by neither.
-        if proc.kind == "hochberg":
-            thr = level[:, None] / (n - i + 1)[None, :]
+    weight = None if kernel.weights is None else np.array(kernel.weights)
+    active = np.ones((reps, n), dtype=bool)
+    for _ in range(n):
+        # Holm reads the weight in play, truncated Holm the count in play.
+        # A zero weight in play leaves only zero weights, which clear nothing.
+        rest = total = None
+        if weight is None:
+            rest = np.maximum(active.sum(axis=1), 1)[:, None]
         else:
-            coef = proc.gamma / (n - i + 1) + (1.0 - proc.gamma) / n
-            thr = coef[None, :] * level[:, None]
-        ok = (sorted_p <= thr) & (thr > 0.0)
-        n_reject = np.max(np.where(ok, i[None, :], 0), axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(n), order.shape), axis=1)
-        return ranks < n_reject[:, None]
+            total = _row_sum(active, kernel.weights)
+            total = np.where(total > 0.0, total, 1.0)[:, None]
+        thr = kernel.threshold(level, rest, weight, total)
+        cleared = active & (pmat <= thr) & (thr > 0.0)
+        if not cleared.any():
+            break
+        active &= ~cleared
+    return ~active
 
-    raise ValueError(f"unsupported procedure kind {proc.kind!r}")
+
+def _batch_step_up(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
+    ranked = np.sort(pmat, axis=1)
+    thr = kernel.threshold(level, np.arange(pmat.shape[1], 0, -1))
+    cut = np.max(np.where((ranked <= thr) & (thr > 0.0), ranked, -1.0), axis=1)
+    return pmat <= cut[:, None]
 
 
-def _batch_test_fixed_sequence(
-    positions: Sequence[int], pmat: np.ndarray, level: np.ndarray
-) -> np.ndarray:
-    ok = (pmat[:, positions] <= level[:, None]) & (level > 0.0)[:, None]
+def _batch_in_sequence(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
+    positions = list(kernel.order)
+    thr = kernel.threshold(level)
+    ok = (pmat[:, positions] <= thr) & (thr > 0.0)
     streak = np.logical_and.accumulate(ok, axis=1)
     rejected = np.zeros_like(pmat, dtype=bool)
     rejected[:, positions] = streak
     return rejected
 
 
-def _batch_bound(proc, accepted: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Vectorized twin of procedures.error_rate_bound."""
-    n = accepted.shape[1]
-    count = accepted.sum(axis=1)
-    nonempty = count > 0
-    if proc.kind == "bonferroni":
-        w = np.array(proc.weights) if proc.weights else np.full(n, 1.0 / n)
-        bound = level * _row_sum(accepted, w)
-    elif proc.kind in ("holm", "hochberg", "fixed_sequence"):
-        bound = np.where(nonempty, level, 0.0)
-    else:  # truncated_holm, truncated_hochberg
-        factor = proc.gamma + (1.0 - proc.gamma) * count / n
-        bound = np.where(nonempty, factor * level, 0.0)
-    return np.minimum(np.maximum(bound, 0.0), level)
+_BATCH_DRIVERS = {
+    "bonferroni": _batch_single_step,
+    "holm": _batch_fixed_point,
+    "truncated_holm": _batch_fixed_point,
+    "hochberg": _batch_step_up,
+    "truncated_hochberg": _batch_step_up,
+    "fixed_sequence": _batch_in_sequence,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +558,10 @@ def sim_config_to_json(config: SimConfig, indent: int | None = 2) -> str:
 
 def _model_number(model_obj: dict, key: str, default: float) -> float:
     value = model_obj.get(key, default)
-    if is_number(value):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise SpecFormatError(f"model {key} must be a finite number, got {value!r}")
+    number = as_float(value)
+    if number is None or not math.isfinite(number):
+        raise SpecFormatError(f"model {key} must be a finite number, got {value!r}")
+    return number
 
 
 def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimConfig:
@@ -637,10 +602,7 @@ def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimC
 
 def sim_configs_from_json(text: str, seed: int | None = None) -> list[SimConfig]:
     """Parse one config object or a list of them; `seed` fills missing seeds."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"not valid JSON: {exc}") from None
+    obj = loads(text)
     specs: dict[str, GraphSpec] = {}
     if isinstance(obj, list):
         return [_config_from_obj(entry, seed, specs) for entry in obj]

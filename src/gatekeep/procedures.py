@@ -7,12 +7,16 @@ an upper bound e*(A) on the probability of rejecting at least one hypothesis
 in an index set A; the unspent part of a family's critical value,
 level - e*(accepted), is what gets transferred to later families.
 
+Each procedure's thresholds and bound are written once, in `Kernel`. The
+scalar drivers here and the batch drivers in `mcsim` both call it;
+`test_family` and `error_rate_bound` validate their input and run it.
+
 Conventions used throughout:
-  * hypothesis indices are 1-based, matching the (i, j) family addressing;
+  * hypothesis indices are 1-based positions in the family's label list;
   * all threshold comparisons use <= (a p-value equal to its threshold is
     rejected), except that a zero threshold never rejects -- so a family
     tested at level 0 rejects nothing;
-  * tied p-values are processed in ascending hypothesis-index order.
+  * no outcome depends on the order in which tied p-values are visited.
 """
 
 from __future__ import annotations
@@ -127,6 +131,143 @@ def check_procedure(
 
 
 @dataclass(frozen=True)
+class Kernel:
+    """A procedure resolved for one family of `n` hypotheses, with its
+    threshold and e* formulas written as plain arithmetic: `level` may be a
+    float or a numpy column of levels (one per replicate), and the other
+    arguments numbers or arrays that broadcast against it. Build kernels
+    only from procedures that `check_procedure` accepts.
+    """
+
+    kind: str
+    n: int
+    gamma: float | None
+    weights: tuple[float, ...] | None  # bonferroni and holm: given or equal
+    order: tuple[int, ...] | None  # fixed_sequence: 0-based positions in testing order
+
+    @classmethod
+    def of(
+        cls, proc: LocalProcedureSpec, n: int, labels: Sequence[str] | None = None
+    ) -> Kernel:
+        """Resolve `proc` for `n` hypotheses; a fixed-sequence order is
+        placed only when the family's `labels` are given."""
+        weights = None
+        if proc.kind in _WEIGHTED:
+            weights = proc.weights or tuple(1.0 / n for _ in range(n))
+        order = None
+        if proc.kind == "fixed_sequence" and labels is not None:
+            position = {label: k for k, label in enumerate(labels)}
+            order = tuple(position[label] for label in proc.order)
+        return cls(proc.kind, n, proc.gamma, weights, order)
+
+    def threshold(self, level, rest=None, weight=None, total=None):
+        """One hypothesis's critical value at `level`.
+
+        `rest` counts the hypotheses in play: those not yet rejected
+        (step-down), or those ranked at or after this one by p-value
+        (step-up). `weight` is the hypothesis's weight and `total` the
+        weight still in play. Each kind reads only what it needs.
+        """
+        kind = self.kind
+        if kind == "bonferroni":
+            return weight * level
+        if kind == "holm":
+            return weight / total * level
+        if kind == "hochberg":
+            return level / rest
+        if kind in _TRUNCATED:
+            return (self.gamma / rest + (1.0 - self.gamma) / self.n) * level
+        return level  # fixed_sequence
+
+    def bound(self, level, count, weight_sum):
+        """e*(A) before its cap at `level`, for an accepted set A of `count`
+        hypotheses; `weight_sum(w)` adds w over A in index order."""
+        if self.kind == "bonferroni":
+            return level * weight_sum(self.weights)
+        if self.kind in _TRUNCATED:
+            return (self.gamma + (1.0 - self.gamma) * count / self.n) * level * (count > 0)
+        return level * (count > 0)  # holm, hochberg, fixed_sequence
+
+    def test(self, p: Sequence[float], level: float) -> frozenset[int]:
+        """The 1-based indices of the hypotheses rejected at `level`."""
+        if level <= 0.0:
+            return frozenset()
+        return _DRIVERS[self.kind](self, p, level)
+
+    def e_star(self, level: float, accepted: Iterable[int]) -> float:
+        """e*(accepted) at `level`; `accepted` holds 1-based indices."""
+        a = sorted(accepted)
+        return min(self.bound(level, len(a), lambda w: sum(w[k - 1] for k in a)), level)
+
+
+def _le_positive(p: float, threshold: float) -> bool:
+    # <= convention, but a zero threshold rejects nothing.
+    return threshold > 0.0 and p <= threshold
+
+
+def _single_step(kernel: Kernel, p, level) -> frozenset[int]:
+    w = kernel.weights
+    return frozenset(
+        k + 1
+        for k in range(kernel.n)
+        if _le_positive(p[k], kernel.threshold(level, weight=w[k]))
+    )
+
+
+def _fixed_point(kernel: Kernel, p, level) -> frozenset[int]:
+    # Step-down: reject every hypothesis in play that clears its threshold,
+    # until none does. Rejecting one only raises the others' thresholds, so
+    # this is the one-at-a-time walk; testing only the smallest p / w would
+    # stop early where two ratios round to a tie.
+    w = kernel.weights
+    remaining = list(range(kernel.n))
+    while remaining:
+        # Holm divides by the weight in play; when that is 0, only zero
+        # weights are left, and they clear nothing.
+        total = None if w is None else sum(w[k] for k in remaining) or 1.0
+        rest = len(remaining)
+        cleared = {
+            k
+            for k in remaining
+            if _le_positive(p[k], kernel.threshold(level, rest, w[k] if w else None, total))
+        }
+        if not cleared:
+            break
+        remaining = [k for k in remaining if k not in cleared]
+    return frozenset(range(1, kernel.n + 1)) - {k + 1 for k in remaining}
+
+
+def _step_up(kernel: Kernel, p, level) -> frozenset[int]:
+    # Rank the p-values and reject every one at or below the largest that
+    # clears its threshold. Thresholds rise with rank, so a tie never
+    # straddles that cut.
+    n = kernel.n
+    cleared = [
+        x for i, x in enumerate(sorted(p)) if _le_positive(x, kernel.threshold(level, n - i))
+    ]
+    return frozenset(k + 1 for k in range(n) if cleared and p[k] <= cleared[-1])
+
+
+def _in_sequence(kernel: Kernel, p, level) -> frozenset[int]:
+    rejected = set()
+    for k in kernel.order:
+        if not _le_positive(p[k], kernel.threshold(level)):
+            break
+        rejected.add(k + 1)
+    return frozenset(rejected)
+
+
+_DRIVERS = {
+    "bonferroni": _single_step,
+    "holm": _fixed_point,
+    "truncated_holm": _fixed_point,
+    "hochberg": _step_up,
+    "truncated_hochberg": _step_up,
+    "fixed_sequence": _in_sequence,
+}
+
+
+@dataclass(frozen=True)
 class FamilyTestInput:
     """One family's p-values (in family order) and its local critical value.
 
@@ -139,7 +280,8 @@ class FamilyTestInput:
     labels: tuple[str, ...] | None = None
 
 
-def _validated(proc: LocalProcedureSpec, inp: FamilyTestInput) -> int:
+def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int]:
+    """Run the procedure; return the 1-based indices of rejected hypotheses."""
     n = len(inp.pvalues)
     problems = check_procedure(proc, n, inp.labels)
     if problems:
@@ -149,106 +291,9 @@ def _validated(proc: LocalProcedureSpec, inp: FamilyTestInput) -> int:
             raise ValueError(f"p-value {p!r} at position {k} outside [0, 1]")
     if not 0.0 <= inp.level <= 1.0:
         raise ValueError(f"level {inp.level!r} outside [0, 1]")
-    return n
-
-
-def _equal_weights(n: int) -> tuple[float, ...]:
-    return tuple(1.0 / n for _ in range(n))
-
-
-def _le_positive(p: float, threshold: float) -> bool:
-    # <= convention, but a zero threshold rejects nothing.
-    return threshold > 0.0 and p <= threshold
-
-
-def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int]:
-    """Run the procedure; return the 1-based indices of rejected hypotheses."""
-    n = _validated(proc, inp)
-    if inp.level <= 0.0:
-        return frozenset()
-    p = inp.pvalues
-    level = inp.level
-
-    if proc.kind == "bonferroni":
-        w = proc.weights or _equal_weights(n)
-        return frozenset(
-            k + 1 for k in range(n) if _le_positive(p[k], w[k] * level)
-        )
-
-    if proc.kind == "holm":
-        return _weighted_holm(p, level, proc.weights or _equal_weights(n))
-
-    if proc.kind == "truncated_holm":
-        return _step_down(p, _truncated_thresholds(n, level, proc.gamma))
-
-    if proc.kind == "hochberg":
-        return _step_up(p, [level / (n - i + 1) for i in range(1, n + 1)])
-
-    if proc.kind == "truncated_hochberg":
-        return _step_up(p, _truncated_thresholds(n, level, proc.gamma))
-
-    # fixed_sequence
-    if inp.labels is None:
+    if proc.kind == "fixed_sequence" and inp.labels is None and inp.level > 0.0:
         raise ValueError("fixed_sequence needs the family's hypothesis labels")
-    position = {label: k for k, label in enumerate(inp.labels)}
-    rejected = set()
-    for label in proc.order:
-        k = position[label]
-        if _le_positive(p[k], level):
-            rejected.add(k + 1)
-        else:
-            break
-    return frozenset(rejected)
-
-
-def _truncated_thresholds(n: int, level: float, gamma: float) -> list[float]:
-    return [
-        (gamma / (n - i + 1) + (1.0 - gamma) / n) * level for i in range(1, n + 1)
-    ]
-
-
-def _sorted_positions(p: Sequence[float]) -> list[int]:
-    # Stable: ties broken by ascending hypothesis index.
-    return sorted(range(len(p)), key=lambda k: (p[k], k))
-
-
-def _step_down(p, thresholds) -> frozenset[int]:
-    order = _sorted_positions(p)
-    rejected = set()
-    for i, k in enumerate(order):
-        if _le_positive(p[k], thresholds[i]):
-            rejected.add(k + 1)
-        else:
-            break
-    return frozenset(rejected)
-
-
-def _step_up(p, thresholds) -> frozenset[int]:
-    order = _sorted_positions(p)
-    n_reject = 0
-    for i, k in enumerate(order):
-        if _le_positive(p[k], thresholds[i]):
-            n_reject = i + 1
-    return frozenset(k + 1 for k in order[:n_reject])
-
-
-def _weighted_holm(p, level, weights) -> frozenset[int]:
-    # Step-down: reject every remaining hypothesis that clears its
-    # renormalized threshold, until none does. Rejecting one only raises the
-    # others' thresholds, so this is the one-at-a-time walk; testing only the
-    # smallest p / w would stop early where two ratios round to a tie.
-    remaining = list(range(len(p)))
-    rejected: set[int] = set()
-    while remaining:
-        total = sum(weights[k] for k in remaining)
-        if total <= 0.0:
-            break
-        eligible = {k for k in remaining if _le_positive(p[k], weights[k] / total * level)}
-        if not eligible:
-            break
-        rejected |= eligible
-        remaining = [k for k in remaining if k not in eligible]
-    return frozenset(k + 1 for k in rejected)
+    return Kernel.of(proc, n, inp.labels).test(inp.pvalues, inp.level)
 
 
 def error_rate_bound(
@@ -271,13 +316,4 @@ def error_rate_bound(
     problems = check_procedure(proc, n)
     if problems:
         raise ValueError("; ".join(problems))
-    if not a:
-        return 0.0
-    if proc.kind == "bonferroni":
-        w = proc.weights or _equal_weights(n)
-        bound = level * sum(w[k - 1] for k in sorted(a))  # in index order, as batch_run adds
-    elif proc.kind in ("holm", "hochberg", "fixed_sequence"):
-        bound = level
-    else:  # truncated_holm, truncated_hochberg
-        bound = (proc.gamma + (1.0 - proc.gamma) * len(a) / n) * level
-    return min(max(bound, 0.0), level)
+    return Kernel.of(proc, n).e_star(level, a)

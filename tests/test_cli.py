@@ -156,6 +156,27 @@ class TestRunCommand:
         assert "exceeding global alpha" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("case", [
+        "transitions not a list", "from not a string", "huge alpha", "huge g", "deep nesting",
+    ])
+    def test_malformed_spec_exit_1_without_traceback(self, files, capsys, case):
+        tmp_path, _, csv_path = files
+        obj = json.loads(gk.spec_to_json(two_layer_fixed_sequence_spec()))
+        if case == "transitions not a list":
+            obj["transitions"] = 5
+        elif case == "from not a string":
+            obj["transitions"][0]["from"] = ["F1"]
+        elif case == "huge alpha":
+            obj["alpha"] = 10**400
+        elif case == "huge g":
+            obj["transitions"][0]["g"] = 10**400
+        text = "[" * 100_000 + "]" * 100_000 if case == "deep nesting" else json.dumps(obj)
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        assert cli.main(["run", "--spec", str(path), "--pvalues", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unwritable_out_exit_1(self, files, capsys):
         tmp_path, spec_path, csv_path = files
         out = str(tmp_path / "missing-dir" / "report.json")

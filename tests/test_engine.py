@@ -96,6 +96,12 @@ class TestGoldenRuns:
         with pytest.raises(gk.InvalidSpecError):
             gk.run(spec, {"H1": 0.01})
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_pvalue_outside_unit_interval_raises(self, bad):
+        spec = two_layer_fixed_sequence_spec()
+        with pytest.raises(ValueError, match="at position 2 outside"):
+            gk.run(spec, {**TABLE_PVALUES, "H32": bad})
+
 
 class TestStep:
     def singleton_gate(self):

@@ -145,10 +145,11 @@ class TestValidateSpec:
                 continue
             assert sum(f.initial_alpha for f in spec.families()) \
                 <= spec.global_alpha + SUM_TOL
+            layer_of = {fam.name: i for i, layer in enumerate(spec.layers) for fam in layer}
             rows = {}
             for (src, dst), g in spec.transitions.items():
                 assert 0.0 <= g <= 1.0
-                assert src[0] < dst[0]
+                assert layer_of[src] < layer_of[dst]
                 rows[src] = rows.get(src, 0.0) + g
             assert all(total <= 1.0 + SUM_TOL for total in rows.values())
 

@@ -121,6 +121,71 @@ def test_engine_and_batch_agree_on_the_lattice(kind, n):
             assert list(batch_row) == expected, (spec, p)
 
 
+def bound(procedure: gk.LocalProcedureSpec, accepted: list[int], n: int, level: float) -> float:
+    """e*(A) for the 1-based indices `accepted`, written out (Dmitrienko,
+    Tamhane & Wiens 2008), capped at `level`."""
+    if not accepted:
+        return 0.0
+    kind = procedure.kind
+    if kind == "bonferroni":
+        w = procedure.weights or tuple(1.0 / n for _ in range(n))
+        e = level * sum(w[k - 1] for k in sorted(accepted))
+    elif kind in ("truncated_holm", "truncated_hochberg"):
+        g = procedure.gamma
+        e = (g + (1.0 - g) * len(accepted) / n) * level
+    else:
+        e = level
+    return min(e, level)
+
+
+def kernel_thresholds(kernel, n: int, level: float, rng) -> list[list[float]]:
+    """The kernel's thresholds laid out as `thresholds` lays out its own,
+    along the same random Holm path when given the same `rng` state."""
+    if kernel.kind == "fixed_sequence":
+        return [[kernel.threshold(level)]] * n
+    if kernel.kind in ("hochberg", "truncated_holm", "truncated_hochberg"):
+        return [[kernel.threshold(level, n - i + 1) for i in range(1, n + 1)]] * n
+    w = kernel.weights
+    if kernel.kind == "bonferroni":
+        return [[kernel.threshold(level, weight=w[k])] for k in range(n)]
+    out: list[list[float]] = [[] for _ in range(n)]
+    remaining = list(range(n))
+    while remaining:
+        total = sum(w[k] for k in remaining)
+        for k in remaining:
+            out[k].append(kernel.threshold(level, len(remaining), w[k], total))
+        remaining.remove(remaining[int(rng.integers(len(remaining)))])
+    return out
+
+
+def hexes(values) -> list:
+    return [hexes(v) if isinstance(v, list) else float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", proc.KINDS)
+def test_kernel_formulas_match_the_reference(kind, n):
+    # The engine and batch_run share the kernel, so their agreement cannot
+    # catch a formula that is wrong in the last bit; this pins it, bit for
+    # bit, at a family's own level (F1) and at one built from a transfer (F2).
+    rng = np.random.default_rng([proc.KINDS.index(kind), n, 1])
+    subsets = [
+        [k for k in range(1, n + 1) if mask >> (k - 1) & 1] for mask in range(1 << n)
+    ]
+    for _ in range(6):
+        spec = two_layer_spec(kind, n, rng)
+        report = gk.run(spec, lattice_pvalues(spec, rng))
+        for fam, outcome in zip(spec.families(), report.outcomes):
+            kernel, level = spec.plan.kernels[fam.name], outcome.level_used
+            seed = int(rng.integers(1 << 32))
+            expected = thresholds(fam.procedure, n, level, np.random.default_rng(seed))
+            got = kernel_thresholds(kernel, n, level, np.random.default_rng(seed))
+            assert hexes(got) == hexes(expected), (fam.procedure, level)
+            for a in subsets:
+                expected_e = bound(fam.procedure, a, n, level)
+                assert float.hex(kernel.e_star(level, a)) == float.hex(expected_e), (a, level)
+
+
 def twins(rng):
     yield hypgraph.bonferroni_gate_pair(0.05)
     yield hypgraph.serial_holm_gate_single(0.025)

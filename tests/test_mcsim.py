@@ -417,6 +417,12 @@ class TestBatchAgreesWithEngine:
         with pytest.raises(ValueError, match="outside"):
             mcsim.batch_run(parallel_split_spec(), np.full((1, 9), 1.5))
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_batch_run_rejects_pvalue_outside_unit_interval(self, bad):
+        spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05, proc.holm())]])
+        with pytest.raises(ValueError, match="outside"):
+            mcsim.batch_run(spec, np.array([[bad, 0.001]]))
+
 
 class TestJsonFormats:
     def test_config_round_trip(self):

@@ -13,7 +13,7 @@ from gatekeep import graph
 from gatekeep import procedures as proc
 from gatekeep.engine import initial_state, step
 
-from conftest import TABLE_PVALUES, two_layer_fixed_sequence_spec
+from conftest import TABLE_PVALUES, three_layer_step_up_spec, two_layer_fixed_sequence_spec
 
 # sha256 of report_to_json, taken from the release before the plan existed.
 README_REPORT_SHA256 = "e849582cc96c138e13c478b325da0183a790200a1746e8c36c4962f4f2fb1ff4"
@@ -89,6 +89,22 @@ class TestPlan:
         gk.run(other, TABLE_PVALUES)
         assert calls == [spec, other]
 
+    def test_no_procedure_checks_once_planned(self, monkeypatch):
+        spec = three_layer_step_up_spec()
+        assert spec.plan is not None
+        calls = []
+        check = proc.check_procedure
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(proc, "check_procedure", counted)
+        monkeypatch.setattr(graph, "check_procedure", counted)
+        for _ in range(3):
+            assert gk.replay(gk.run(spec, TABLE_PVALUES), spec).ok
+        assert calls == []
+
     def test_invalid_spec_raises_every_time(self, monkeypatch):
         calls = []
         validate = graph.validate_spec
@@ -109,9 +125,9 @@ class TestPlan:
             entries,
         )
         with pytest.raises(TypeError):
-            spec.transitions.entries[((1, 1), (2, 1))] = 1.0
+            spec.transitions.entries[("F1", "F2")] = 1.0
         entries[("F1", "F2")] = 1.0  # the mapping given to make_spec is copied
-        assert dict(spec.transitions.entries) == {((1, 1), (2, 1)): 0.5}
+        assert dict(spec.transitions.entries) == {("F1", "F2"): 0.5}
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_step_follows_a_hand_edited_state(self):

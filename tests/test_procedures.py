@@ -306,7 +306,7 @@ class TestLocalFwerControl:
         reps = 4000
         n = 4
         labels = ("A", "B", "C", "D")
-        rng = np.random.default_rng(hash((kind_spec.kind, n_true)) % 2**32)
+        rng = np.random.default_rng([proc.KINDS.index(kind_spec.kind), n_true])
         hits = 0
         for _ in range(reps):
             p = np.where(
