@@ -199,17 +199,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InvalidSpecError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
         return 2
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SpecFormatError, SweepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

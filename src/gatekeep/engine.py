@@ -18,12 +18,13 @@ and resolved once per spec object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
-from .jsontext import dumps, loads
+from .jsontext import as_float, dumps, loads
 from .procedures import Kernel
 
 REPLAY_TOL = 1e-12
@@ -92,8 +93,7 @@ def _advance(kernel: Kernel, level: float, accepted, edges):
     e*(accepted) and one transfer of (level - e*) * g per (target, g) edge,
     in edge order."""
     e_star = kernel.e_star(level, accepted)
-    spendable = max(level - e_star, 0.0)
-    return e_star, tuple(Transfer(dst, spendable * g) for dst, g in edges)
+    return e_star, tuple(Transfer(dst, (level - e_star) * g) for dst, g in edges)
 
 
 def _test(
@@ -126,11 +126,7 @@ def step(
     has untested families. Its level and edges come from `state`, so a
     forked or hand-edited state is followed as it is.
     """
-    layer_idx = None
-    for i, layer in enumerate(state.remaining):
-        if layer:
-            layer_idx = i
-            break
+    layer_idx = next((i for i, layer in enumerate(state.remaining) if layer), None)
     if layer_idx is None:
         raise ValueError("all families already tested")
     if family not in state.remaining[layer_idx]:
@@ -148,10 +144,11 @@ def step(
     _check_pvalues((fam,), pvalues)
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level {level!r} outside [0, 1]")
-    edges = sorted(
-        ((dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0),
-        key=lambda e: plan.position[e[0]],
-    )
+    edges = [(dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0]
+    for dst, _ in edges:
+        if dst not in plan.position:
+            raise ValueError(f"edge {family!r} -> {dst!r} leads to an unknown family")
+    edges.sort(key=lambda e: plan.position[e[0]])
     outcome = _test(fam, plan.kernels[family], level, pvalues, edges)
 
     new_alpha = dict(state.current_alpha)
@@ -195,12 +192,9 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
         )
         for t in result.transfers:
             levels[t.target] += t.amount
+        decisions.update(dict.fromkeys(result.rejected, "S"))
+        decisions.update(dict.fromkeys(result.accepted, "NS"))
         outcomes.append(result)
-    for result in outcomes:
-        for label in result.rejected:
-            decisions[label] = "S"
-        for label in result.accepted:
-            decisions[label] = "NS"
     return TestReport(tuple(outcomes), decisions)
 
 
@@ -308,28 +302,50 @@ def report_to_json(report: TestReport, indent: int | None = 2) -> str:
     return dumps(obj, indent)
 
 
+def _number(value) -> float:
+    x = as_float(value)
+    if x is None or not math.isfinite(x):
+        raise SpecFormatError(f"{value!r} is not a finite number")
+    return x
+
+
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise SpecFormatError(f"{value!r} is not a string")
+    return value
+
+
+def _list_of(kind: type, value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        raise SpecFormatError(f"{what} must be a list of {kind.__name__} values")
+    return value
+
+
 def report_from_json(text: str) -> TestReport:
+    """Parse `report_to_json` text. Raises SpecFormatError on malformed input."""
     obj = loads(text)
     if not isinstance(obj, dict) or "outcomes" not in obj or "decisions" not in obj:
         raise SpecFormatError("report must have 'outcomes' and 'decisions'")
     outcomes = []
-    for entry in obj["outcomes"]:
+    for i, entry in enumerate(_list_of(dict, obj["outcomes"], "outcomes"), start=1):
         try:
             outcomes.append(
                 FamilyOutcome(
-                    family=entry["family"],
-                    level_used=float(entry["level"]),
-                    rejected=frozenset(entry["rejected"]),
-                    accepted=frozenset(entry["accepted"]),
-                    e_star=float(entry["e_star"]),
+                    family=_name(entry["family"]),
+                    level_used=_number(entry["level"]),
+                    rejected=frozenset(_list_of(str, entry["rejected"], "rejected")),
+                    accepted=frozenset(_list_of(str, entry["accepted"], "accepted")),
+                    e_star=_number(entry["e_star"]),
                     transfers=tuple(
-                        Transfer(t["to"], float(t["amount"]))
-                        for t in entry["transfers"]
+                        Transfer(_name(t["to"]), _number(t["amount"]))
+                        for t in _list_of(dict, entry["transfers"], "transfers")
                     ),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise SpecFormatError(f"malformed outcome entry: {exc}") from None
+        except KeyError as exc:
+            raise SpecFormatError(f"outcome {i}: missing key {exc}") from None
+        except SpecFormatError as exc:
+            raise SpecFormatError(f"outcome {i}: {exc}") from None
     decisions = obj["decisions"]
     if not isinstance(decisions, dict):
         raise SpecFormatError("decisions must be an object")

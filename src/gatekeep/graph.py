@@ -76,6 +76,8 @@ class Plan:
     labels: frozenset[str]
     # by source name: (target name, g) for each g > 0, targets in execution order
     edges: Mapping[str, tuple[tuple[str, float], ...]]
+    # by target name: (source name, g) for each g > 0, sources in execution order
+    sources: Mapping[str, tuple[tuple[str, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,11 @@ class GraphSpec:
             raise InvalidSpecError(outcome.violations)
         families = tuple(self.families())
         edges: dict[str, list[tuple[str, float]]] = {fam.name: [] for fam in families}
+        sources: dict[str, list[tuple[str, float]]] = {fam.name: [] for fam in families}
         for (src, dst), g in _in_order(self):
             if g > 0.0:
                 edges[src].append((dst, g))
+                sources[dst].append((src, g))
         return Plan(
             families=families,
             by_name={fam.name: fam for fam in families},
@@ -118,6 +122,7 @@ class GraphSpec:
             },
             labels=frozenset(self.labels()),
             edges={name: tuple(out) for name, out in edges.items()},
+            sources={name: tuple(into) for name, into in sources.items()},
         )
 
 

@@ -18,17 +18,17 @@ p-values exactly Uniform(0, 1). The transform is `ndtr`, a numpy port of
 the Cephes normal CDF that scipy.special.ndtr also uses, so the module
 needs numpy only.
 
-The replicate loop does not call the scalar engine. `batch_run` evaluates
-all replicates at once with batch drivers that read each family's
-thresholds and bound from the same kernel (`procedures.Kernel`) as the
-scalar engine, so the formulas exist once; agreement tests hold the two
-drivers to each other, and the hypothesis-level oracle and the lattice
-reference check the formulas independently.
+The replicate loop does not call the scalar engine, but runs off the same
+plan (`GraphSpec.plan`: families, kernels, in- and out-edges). `batch_run`
+evaluates all replicates at once with batch drivers that read each family's
+thresholds and capped bound from its kernel, as the scalar engine does, so
+the formulas exist once; agreement tests hold the two drivers to each
+other, and the hypothesis-level oracle and the lattice reference check the
+formulas independently. Of its own it keeps each family's columns and memo scope.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -80,10 +80,9 @@ class SimResult:
     seed: int
 
 
-def _check_config(config: SimConfig, labels: tuple[str, ...]) -> None:
-    """Check everything but the spec itself (see `_compile`); `labels` are
-    the spec's labels."""
-    labels = set(labels)
+def _check_config(config: SimConfig, labels: frozenset[str]) -> None:
+    """Check everything but the spec itself (`GraphSpec.plan` checks that);
+    `labels` are the spec's labels."""
     missing = sorted(labels - set(config.truth))
     extra = sorted(set(config.truth) - labels)
     if missing or extra:
@@ -105,6 +104,8 @@ def _check_config(config: SimConfig, labels: tuple[str, ...]) -> None:
         raise ValueError(f"delta {m.delta!r} must be finite and nonnegative")
     if config.reps < 1:
         raise ValueError(f"reps {config.reps!r} must be at least 1")
+    if not 0 <= config.seed < 1 << 64:
+        raise ValueError(f"seed {config.seed!r} outside [0, 2**64)")
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +280,15 @@ class _Simulator:
         self.scores: dict[tuple, np.ndarray] = {}
         # (score key, column, delta, or None for a true null) -> p-values
         self.pcols: dict[tuple, np.ndarray] = {}
-        # id(spec) -> (spec, its labels, its compiled families, family memo)
+        # id(spec) -> (spec, its labels, its columns and scopes, family memo)
         self.specs: dict[int, tuple] = {}
 
     def simulate(self, config: SimConfig) -> SimResult:
         spec = config.spec
         if id(spec) not in self.specs:
-            self.specs[id(spec)] = (spec, spec.labels(), _compile(spec), {})
-        _, labels, plan, memo = self.specs[id(spec)]
-        _check_config(config, labels)
+            self.specs[id(spec)] = (spec, spec.labels(), _columns(spec.plan), {})
+        _, labels, layout, memo = self.specs[id(spec)]
+        _check_config(config, spec.plan.labels)
         score_key = _score_key(config, len(labels))
         scores = self.scores.get(score_key)
         if scores is None:
@@ -299,9 +300,9 @@ class _Simulator:
         delta = config.model.delta
         false_mask = np.array([config.truth[label] == FALSE_NULL for label in labels])
 
-        def p_of(fam: _Family) -> np.ndarray:
+        def p_of(cols: slice) -> np.ndarray:
             columns = []
-            for j in range(fam.cols.start, fam.cols.stop):
+            for j in range(cols.start, cols.stop):
                 # A false null's score is shifted by delta; a true null's is not.
                 key = (score_key, j, delta if false_mask[j] else None)
                 if key not in self.pcols:
@@ -312,12 +313,13 @@ class _Simulator:
 
         p_key = score_key + (delta,)
         outcomes = _evaluate(
-            plan,
+            spec.plan,
+            layout,
             p_of,
             memo,
-            lambda fam: (p_key, false_mask[fam.scope].tobytes()),
+            lambda scope: (p_key, false_mask[scope].tobytes()),
             ~false_mask,
-        )
+        ).values()
 
         hit = None  # rows that rejected some true null
         for outcome in outcomes:
@@ -359,18 +361,6 @@ def sweep_to_csv(configs: Sequence[SimConfig], results: Sequence[SimResult]) -> 
 
 
 @dataclass(frozen=True)
-class _Family:
-    """One family of a validated spec, resolved to p-matrix columns."""
-
-    cols: slice  # its columns in spec.labels() order
-    scope: np.ndarray  # its columns and those of every family that can pass it level
-    kernel: Kernel
-    initial_alpha: float
-    into: tuple[tuple[int, float], ...]  # (source's plan position, g) for each g > 0
-    passes_on: bool  # has an edge with g > 0
-
-
-@dataclass(frozen=True)
 class _Outcome:
     """One family's result on every row."""
 
@@ -380,72 +370,62 @@ class _Outcome:
     hit: np.ndarray | None  # rows that rejected one of its true nulls (None if it has none)
 
 
-def _compile(spec: GraphSpec) -> tuple[_Family, ...]:
-    """Resolve the families of `spec`'s plan (which validates it) to columns."""
-    plan = spec.plan
-    families = plan.families
-    starts = [0, *itertools.accumulate(fam.size for fam in families)]
-    scopes = [set(range(starts[k], starts[k + 1])) for k in range(len(families))]
-    into: list[list[tuple[int, float]]] = [[] for _ in families]
-    for k, fam in enumerate(families):
-        for target, g in plan.edges[fam.name]:
-            dst = plan.position[target]
-            # Edges only point at later layers, so scopes[k] is complete here.
-            scopes[dst] |= scopes[k]
-            into[dst].append((k, g))
-    return tuple(
-        _Family(
-            cols=slice(starts[k], starts[k + 1]),
-            scope=np.array(sorted(scopes[k])),
-            kernel=plan.kernels[fam.name],
-            initial_alpha=fam.initial_alpha,
-            into=tuple(into[k]),
-            passes_on=bool(plan.edges[fam.name]),
-        )
-        for k, fam in enumerate(families)
-    )
+def _columns(plan) -> dict[str, tuple[slice, np.ndarray]]:
+    """By family name: its columns in spec.labels() order, and its scope,
+    the sorted columns of it and of every family that can pass it level."""
+    layout: dict[str, tuple[slice, np.ndarray]] = {}
+    scopes: dict[str, set[int]] = {}
+    start = 0
+    for fam in plan.families:
+        cols = slice(start, start + fam.size)
+        start = cols.stop
+        # Sources come before their targets, so their scopes are complete here.
+        inherited = (scopes[src] for src, _ in plan.sources[fam.name])
+        scopes[fam.name] = set(range(cols.start, cols.stop)).union(*inherited)
+        layout[fam.name] = (cols, np.array(sorted(scopes[fam.name])))
+    return layout
 
 
-def _evaluate(plan, p_of, memo: dict, key_of, true_null=None) -> list[_Outcome]:
-    """Run the families of `plan` in order on every row.
+def _evaluate(plan, layout, p_of, memo: dict, key_of, true_null=None) -> dict[str, _Outcome]:
+    """Run the families of `plan` in order on every row; outcomes by name.
 
-    `p_of(family)` gives the family's (rows, size) p-value matrix; it is
-    called only for families that are tested. `true_null` (a mask over all
-    columns) makes each outcome carry its column counts and true-null hits.
-    `memo` holds one entry per plan position: a family whose
-    `key_of(family)` equals the key stored for it reuses the stored outcome
-    instead of testing again, so the key must cover every input the
-    family's outcome depends on.
+    `layout` is `_columns(plan)`. `p_of(cols)` gives a family's (rows, size)
+    p-value matrix; it is called only for families that are tested.
+    `true_null` (a mask over all columns) makes each outcome carry its
+    column counts and true-null hits. `memo` holds one entry per family: a
+    family whose `key_of(scope)` equals the key stored for it reuses the
+    stored outcome instead of testing again, so the key must cover every
+    input the family's outcome depends on.
     """
-    outcomes: list[_Outcome] = []
-    for k, fam in enumerate(plan):
-        key = key_of(fam)
-        if k in memo and memo[k][0] == key:
-            outcomes.append(memo[k][1])
+    outcomes: dict[str, _Outcome] = {}
+    for fam in plan.families:
+        cols, scope = layout[fam.name]
+        key = key_of(scope)
+        if fam.name in memo and memo[fam.name][0] == key:
+            outcomes[fam.name] = memo[fam.name][1]
             continue
-        p = p_of(fam)
-        # Incoming level is added in source plan order, as engine.step adds it.
+        p = p_of(cols)
+        # Incoming level is added in source execution order, as engine.run adds it.
         level = np.full(p.shape[0], fam.initial_alpha)
-        for src, g in fam.into:
+        for src, g in plan.sources[fam.name]:
             level = level + outcomes[src].spendable * g
-        kernel = fam.kernel
+        kernel = plan.kernels[fam.name]
         rej = _BATCH_DRIVERS[kernel.kind](kernel, p, level[:, None])
         spendable = None
-        if fam.passes_on:
+        if plan.edges[fam.name]:
             accepted = ~rej
             bound = kernel.bound(level, accepted.sum(axis=1), lambda w: _row_sum(accepted, w))
-            spendable = np.maximum(level - np.minimum(bound, level), 0.0)
+            spendable = level - bound
         counts = hit = None
         if true_null is not None:
             # Per column: a reduction along the short axis of a C-ordered
             # matrix is several times slower.
             counts = [int(np.count_nonzero(col)) for col in rej.T]
-            own = true_null[fam.cols]
+            own = true_null[cols]
             if own.any():
                 hit = rej[:, own].any(axis=1)
-        outcome = _Outcome(rej, spendable, counts, hit)
-        memo[k] = (key, outcome)
-        outcomes.append(outcome)
+        outcomes[fam.name] = _Outcome(rej, spendable, counts, hit)
+        memo[fam.name] = (key, outcomes[fam.name])
     return outcomes
 
 
@@ -456,15 +436,15 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
     a boolean matrix of the same shape: True where rejected. Agrees with
     `engine.run` row by row.
     """
-    plan = _compile(spec)
-    n = len(spec.labels())
+    plan = spec.plan
+    n = len(plan.labels)
     pmat = np.asarray(pmat, dtype=float)
     if pmat.ndim != 2 or pmat.shape[1] != n:
         raise ValueError(f"p matrix must be (reps, {n})")
     if not np.all((pmat >= 0.0) & (pmat <= 1.0)):  # NaN fails both
         raise ValueError("p-values outside [0, 1]")
-    outcomes = _evaluate(plan, lambda fam: pmat[:, fam.cols], {}, lambda fam: None)
-    return np.concatenate([outcome.rejected for outcome in outcomes], axis=1)
+    outcomes = _evaluate(plan, _columns(plan), lambda cols: pmat[:, cols], {}, lambda _: None)
+    return np.concatenate([outcome.rejected for outcome in outcomes.values()], axis=1)
 
 
 def _row_sum(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -481,14 +461,9 @@ def _row_sum(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
 # `level` a column of levels (one per row) and thresholds from the kernel.
 
 
-def _batch_single_step(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
-    thr = kernel.threshold(level, weight=np.array(kernel.weights))
-    return (pmat <= thr) & (thr > 0.0)
-
-
 def _batch_fixed_point(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
     # Step-down: reject every hypothesis in play that clears its threshold,
-    # until none does, as the scalar driver.
+    # until none does, as the scalar driver (Bonferroni included).
     reps, n = pmat.shape
     weight = None if kernel.weights is None else np.array(kernel.weights)
     active = np.ones((reps, n), dtype=bool)
@@ -527,7 +502,7 @@ def _batch_in_sequence(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> n
 
 
 _BATCH_DRIVERS = {
-    "bonferroni": _batch_single_step,
+    "bonferroni": _batch_fixed_point,
     "holm": _batch_fixed_point,
     "truncated_holm": _batch_fixed_point,
     "hochberg": _batch_step_up,

@@ -7,9 +7,10 @@ an upper bound e*(A) on the probability of rejecting at least one hypothesis
 in an index set A; the unspent part of a family's critical value,
 level - e*(accepted), is what gets transferred to later families.
 
-Each procedure's thresholds and bound are written once, in `Kernel`. The
-scalar drivers here and the batch drivers in `mcsim` both call it;
-`test_family` and `error_rate_bound` validate their input and run it.
+Each procedure's thresholds and capped bound are written once, in `Kernel`.
+The scalar drivers here (Bonferroni runs the step-down one) and the batch
+drivers in `mcsim` call it; `test_family` and `error_rate_bound` validate
+their input and run it.
 
 Conventions used throughout:
   * hypothesis indices are 1-based positions in the family's label list;
@@ -180,13 +181,15 @@ class Kernel:
         return level  # fixed_sequence
 
     def bound(self, level, count, weight_sum):
-        """e*(A) before its cap at `level`, for an accepted set A of `count`
+        """e*(A), capped at `level`, for an accepted set A of `count`
         hypotheses; `weight_sum(w)` adds w over A in index order."""
         if self.kind == "bonferroni":
-            return level * weight_sum(self.weights)
-        if self.kind in _TRUNCATED:
-            return (self.gamma + (1.0 - self.gamma) * count / self.n) * level * (count > 0)
-        return level * (count > 0)  # holm, hochberg, fixed_sequence
+            e = level * weight_sum(self.weights)
+        elif self.kind in _TRUNCATED:
+            e = (self.gamma + (1.0 - self.gamma) * count / self.n) * level * (count > 0)
+        else:
+            return level * (count > 0)  # holm, hochberg, fixed_sequence
+        return e * (e <= level) + level * (level < e)  # min(e, level), on arrays too
 
     def test(self, p: Sequence[float], level: float) -> frozenset[int]:
         """The 1-based indices of the hypotheses rejected at `level`."""
@@ -197,7 +200,7 @@ class Kernel:
     def e_star(self, level: float, accepted: Iterable[int]) -> float:
         """e*(accepted) at `level`; `accepted` holds 1-based indices."""
         a = sorted(accepted)
-        return min(self.bound(level, len(a), lambda w: sum(w[k - 1] for k in a)), level)
+        return self.bound(level, len(a), lambda w: sum(w[k - 1] for k in a))
 
 
 def _le_positive(p: float, threshold: float) -> bool:
@@ -205,20 +208,12 @@ def _le_positive(p: float, threshold: float) -> bool:
     return threshold > 0.0 and p <= threshold
 
 
-def _single_step(kernel: Kernel, p, level) -> frozenset[int]:
-    w = kernel.weights
-    return frozenset(
-        k + 1
-        for k in range(kernel.n)
-        if _le_positive(p[k], kernel.threshold(level, weight=w[k]))
-    )
-
-
 def _fixed_point(kernel: Kernel, p, level) -> frozenset[int]:
     # Step-down: reject every hypothesis in play that clears its threshold,
     # until none does. Rejecting one only raises the others' thresholds, so
     # this is the one-at-a-time walk; testing only the smallest p / w would
-    # stop early where two ratios round to a tie.
+    # stop early where two ratios round to a tie. Bonferroni's thresholds
+    # never move, so its second round clears nothing: the single step.
     w = kernel.weights
     remaining = list(range(kernel.n))
     while remaining:
@@ -258,7 +253,7 @@ def _in_sequence(kernel: Kernel, p, level) -> frozenset[int]:
 
 
 _DRIVERS = {
-    "bonferroni": _single_step,
+    "bonferroni": _fixed_point,
     "holm": _fixed_point,
     "truncated_holm": _fixed_point,
     "hochberg": _step_up,

@@ -272,6 +272,13 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path, "--seed", "5"]) == 1
         assert capsys.readouterr().err.startswith(f"error: model {key} must be a finite number")
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exit_1(self, tmp_path, capsys, seed):
+        path = self.config_file(tmp_path)
+        assert cli.main(["simulate", "--config", path, "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"seed {seed} outside" in err
+
     def test_unwritable_csv_exit_1(self, tmp_path, capsys):
         path = self.config_file(tmp_path)
         out = str(tmp_path / "missing-dir" / "sweep.csv")

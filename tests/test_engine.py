@@ -1,6 +1,7 @@
 """Engine behavior: update rules, audit trail, invariants, reductions."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -149,6 +150,12 @@ class TestStep:
         _, state = step(spec, state, "F11", {"H1": 1, "H2": 1, "H3": 1, "H4": 1})
         with pytest.raises(ValueError, match="not an untested family"):
             step(spec, state, "F11", {"H1": 1, "H2": 1, "H3": 1, "H4": 1})
+
+    def test_unknown_edge_target_named(self):
+        spec = two_layer_fixed_sequence_spec()
+        state = dataclasses.replace(initial_state(spec), current_g={("F1", "F9"): 1.0})
+        with pytest.raises(ValueError, match="'F1' -> 'F9'"):
+            step(spec, state, "F1", TABLE_PVALUES)
 
     def test_exhausted_state(self):
         spec = self.singleton_gate()
@@ -394,6 +401,49 @@ class TestReplay:
         report = gk.run(spec, TABLE_PVALUES)
         with pytest.raises(ValueError, match="covers families"):
             replay(gk.TestReport(report.outcomes[:-1], report.decisions), spec)
+
+    def test_out_of_layer_order_raises(self):
+        spec = two_layer_fixed_sequence_spec()
+        report = gk.run(spec, TABLE_PVALUES)
+        f1, f2, f3 = report.outcomes
+        with pytest.raises(ValueError, match="tested out of order"):
+            replay(gk.TestReport((f2, f1, f3), report.decisions), spec)
+
+    def test_overlapping_rejected_and_accepted_raise(self):
+        spec = two_layer_fixed_sequence_spec()
+        report = gk.run(spec, TABLE_PVALUES)
+        f1, f2, f3 = report.outcomes
+        assert f1.rejected == set(spec.layers[0][0].labels)
+        f1 = dataclasses.replace(f1, accepted=f1.rejected)
+        with pytest.raises(ValueError, match="do not partition"):
+            replay(gk.TestReport((f1, f2, f3), report.decisions), spec)
+
+    def test_duplicate_transfer_target_raises(self):
+        spec = two_layer_fixed_sequence_spec()
+        report = gk.run(spec, TABLE_PVALUES)
+        f1, f2, f3 = report.outcomes
+        f1 = dataclasses.replace(f1, transfers=(f1.transfers[0], f1.transfers[0]))
+        with pytest.raises(ValueError, match="duplicate transfer target"):
+            replay(gk.TestReport((f1, f2, f3), report.decisions), spec)
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("outcomes", "5"),
+            ("level", '"abc"'),
+            ("level", "true"),
+            ("level", "1e999"),
+            ("family", '["F1"]'),
+            ("rejected", "[1]"),
+            ("transfers", '[{"to": 5, "amount": 0.0}]'),
+        ],
+    )
+    def test_malformed_report_json_raises_format_error(self, field, text):
+        report = gk.run(three_layer_step_up_spec(), TABLE_PVALUES)
+        obj = json.loads(report_to_json(report))
+        (obj if field == "outcomes" else obj["outcomes"][0])[field] = "@"
+        with pytest.raises(gk.SpecFormatError):
+            report_from_json(json.dumps(obj).replace('"@"', text))
 
     def test_json_round_trip_replays(self):
         spec = three_layer_step_up_spec()

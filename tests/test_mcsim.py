@@ -152,6 +152,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="reps"):
             mcsim.simulate_fwer(small_config(reps=0))
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits(self, seed):
+        # draw_scores would alias it to seed % 2**64.
+        with pytest.raises(ValueError, match="seed"):
+            mcsim.simulate_fwer(small_config(seed=seed))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             mcsim.simulate_fwer(small_config(kind="cauchy"))
