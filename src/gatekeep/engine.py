@@ -123,8 +123,8 @@ def step(
     """Test one family and return (outcome, next state); `state` is unchanged.
 
     The family must be untested and belong to the earliest layer that still
-    has untested families. Its level and edges come from `state`, so a
-    forked or hand-edited state is followed as it is.
+    has untested families. Its level and edges come from `state`; a forked
+    or hand-edited one is followed if its edges lead to later untested layers.
     """
     layer_idx = next((i for i, layer in enumerate(state.remaining) if layer), None)
     if layer_idx is None:
@@ -146,8 +146,8 @@ def step(
         raise ValueError(f"level {level!r} outside [0, 1]")
     edges = [(dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0]
     for dst, _ in edges:
-        if dst not in plan.position:
-            raise ValueError(f"edge {family!r} -> {dst!r} leads to an unknown family")
+        if not any(dst in layer for layer in state.remaining[layer_idx + 1 :]):
+            raise ValueError(f"edge {family!r} -> {dst!r} must reach an untested later layer")
     edges.sort(key=lambda e: plan.position[e[0]])
     outcome = _test(fam, plan.kernels[family], level, pvalues, edges)
 
@@ -282,7 +282,7 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
 # ---------------------------------------------------------------------------
 
 
-def report_to_json(report: TestReport, indent: int | None = 2) -> str:
+def report_to_json(report: TestReport) -> str:
     obj = {
         "outcomes": [
             {
@@ -299,7 +299,7 @@ def report_to_json(report: TestReport, indent: int | None = 2) -> str:
         ],
         "decisions": dict(sorted(report.decisions.items())),
     }
-    return dumps(obj, indent)
+    return dumps(obj, 2)
 
 
 def _number(value) -> float:

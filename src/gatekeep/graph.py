@@ -313,7 +313,7 @@ def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
     return LocalProcedureSpec(kind, gamma=gamma, weights=weights, order=order)
 
 
-def spec_to_json(spec: GraphSpec, indent: int | None = 2) -> str:
+def spec_to_json(spec: GraphSpec) -> str:
     """Serialize to the spec-file schema; lossless float round-trip."""
     obj = {
         "alpha": spec.global_alpha,
@@ -333,7 +333,7 @@ def spec_to_json(spec: GraphSpec, indent: int | None = 2) -> str:
             {"from": src, "to": dst, "g": g} for (src, dst), g in _in_order(spec)
         ],
     }
-    return dumps(obj, indent)
+    return dumps(obj, 2)
 
 
 def spec_from_json(text: str) -> GraphSpec:

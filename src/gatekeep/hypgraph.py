@@ -212,10 +212,19 @@ def run_hypothesis_graph(
 # ---------------------------------------------------------------------------
 
 
-def _matrix(n: int, cells: Mapping[tuple[int, int], float]) -> tuple[tuple[float, ...], ...]:
-    return tuple(
-        tuple(cells.get((j, k), 0.0) for k in range(n)) for j in range(n)
+def _twin(alpha, cells, layers, transitions, eps=()) -> tuple[HypothesisGraph, GraphSpec]:
+    """The graph H1..Hn with coefficients `cells` ((j, k) -> g, 0-based; the
+    pairs in `eps` infinitesimal) and H1 and H2 at half the level each, and
+    the family spec `make_spec(alpha, layers, transitions)`."""
+    n = sum(len(labels) for layer in layers for _, labels, _, _ in layer)
+    hyp = HypothesisGraph(
+        alpha=alpha,
+        labels=tuple(f"H{j}" for j in range(1, n + 1)),
+        weights=(0.5, 0.5) + (0.0,) * (n - 2),
+        transitions=tuple(tuple(cells.get((j, k), 0.0) for k in range(n)) for j in range(n)),
+        epsilon_edges=frozenset(eps),
     )
+    return hyp, make_spec(alpha, layers, transitions)
 
 
 def bonferroni_gate_pair(alpha: float) -> tuple[HypothesisGraph, GraphSpec]:
@@ -224,32 +233,18 @@ def bonferroni_gate_pair(alpha: float) -> tuple[HypothesisGraph, GraphSpec]:
     Layer 1 holds {H1} and {H2} at alpha/2 under Bonferroni; each passes its
     full unspent level to the pair {H3, H4}, tested by Holm.
     """
-    half = alpha / 2.0
-    hyp = HypothesisGraph(
-        alpha=alpha,
-        labels=("H1", "H2", "H3", "H4"),
-        weights=(0.5, 0.5, 0.0, 0.0),
-        transitions=_matrix(
-            4,
-            {
-                (0, 2): 0.5, (0, 3): 0.5,
-                (1, 2): 0.5, (1, 3): 0.5,
-                (2, 3): 1.0, (3, 2): 1.0,
-            },
-        ),
-    )
-    fam = make_spec(
+    return _twin(
         alpha,
+        {(0, 2): 0.5, (0, 3): 0.5, (1, 2): 0.5, (1, 3): 0.5, (2, 3): 1.0, (3, 2): 1.0},
         [
             [
-                ("F11", ["H1"], half, proc.bonferroni()),
-                ("F12", ["H2"], half, proc.bonferroni()),
+                ("F11", ["H1"], alpha / 2.0, proc.bonferroni()),
+                ("F12", ["H2"], alpha / 2.0, proc.bonferroni()),
             ],
             [("F21", ["H3", "H4"], 0.0, proc.holm())],
         ],
         {("F11", "F21"): 1.0, ("F12", "F21"): 1.0},
     )
-    return hyp, fam
 
 
 def serial_holm_gate_single(alpha: float) -> tuple[HypothesisGraph, GraphSpec]:
@@ -258,25 +253,16 @@ def serial_holm_gate_single(alpha: float) -> tuple[HypothesisGraph, GraphSpec]:
     The hypothesis-level form needs infinitesimal edges into H3; the
     family-level form is just two layers with a full transfer.
     """
-    hyp = HypothesisGraph(
-        alpha=alpha,
-        labels=("H1", "H2", "H3"),
-        weights=(0.5, 0.5, 0.0),
-        transitions=_matrix(
-            3,
-            {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 1.0, (1, 2): 1.0},
-        ),
-        epsilon_edges=frozenset({(0, 2), (1, 2)}),
-    )
-    fam = make_spec(
+    return _twin(
         alpha,
+        {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 1.0, (1, 2): 1.0},
         [
             [("F1", ["H1", "H2"], alpha, proc.holm())],
             [("F2", ["H3"], 0.0, proc.bonferroni())],
         ],
         {("F1", "F2"): 1.0},
+        eps={(0, 2), (1, 2)},
     )
-    return hyp, fam
 
 
 def serial_holm_gate_weighted_pair(
@@ -289,30 +275,21 @@ def serial_holm_gate_weighted_pair(
     """
     if abs(w1 + w2 - 1.0) > SUM_TOL or w1 < 0 or w2 < 0:
         raise ValueError(f"weights ({w1}, {w2}) must be nonnegative and sum to 1")
-    hyp = HypothesisGraph(
-        alpha=alpha,
-        labels=("H1", "H2", "H3", "H4"),
-        weights=(0.5, 0.5, 0.0, 0.0),
-        transitions=_matrix(
-            4,
-            {
-                (0, 1): 1.0, (1, 0): 1.0,
-                (0, 2): w1, (0, 3): w2,
-                (1, 2): w1, (1, 3): w2,
-                (2, 3): 1.0, (3, 2): 1.0,
-            },
-        ),
-        epsilon_edges=frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}),
-    )
-    fam = make_spec(
+    return _twin(
         alpha,
+        {
+            (0, 1): 1.0, (1, 0): 1.0,
+            (0, 2): w1, (0, 3): w2,
+            (1, 2): w1, (1, 3): w2,
+            (2, 3): 1.0, (3, 2): 1.0,
+        },
         [
             [("F1", ["H1", "H2"], alpha, proc.holm())],
             [("F2", ["H3", "H4"], 0.0, proc.holm(weights=(w1, w2)))],
         ],
         {("F1", "F2"): 1.0},
+        eps={(0, 2), (0, 3), (1, 2), (1, 3)},
     )
-    return hyp, fam
 
 
 def truncated_holm_gate(alpha: float, gamma: float) -> tuple[HypothesisGraph, GraphSpec]:
@@ -322,28 +299,19 @@ def truncated_holm_gate(alpha: float, gamma: float) -> tuple[HypothesisGraph, Gr
     maximal transfer) and Holm (gamma -> 1, maximal within-family power).
     """
     spread = (1.0 - gamma) / 2.0
-    hyp = HypothesisGraph(
-        alpha=alpha,
-        labels=("H1", "H2", "H3", "H4"),
-        weights=(0.5, 0.5, 0.0, 0.0),
-        transitions=_matrix(
-            4,
-            {
-                (0, 1): gamma, (0, 2): spread, (0, 3): spread,
-                (1, 0): gamma, (1, 2): spread, (1, 3): spread,
-                (2, 3): 1.0, (3, 2): 1.0,
-            },
-        ),
-    )
-    fam = make_spec(
+    return _twin(
         alpha,
+        {
+            (0, 1): gamma, (0, 2): spread, (0, 3): spread,
+            (1, 0): gamma, (1, 2): spread, (1, 3): spread,
+            (2, 3): 1.0, (3, 2): 1.0,
+        },
         [
             [("F1", ["H1", "H2"], alpha, proc.truncated_holm(gamma))],
             [("F2", ["H3", "H4"], 0.0, proc.holm())],
         ],
         {("F1", "F2"): 1.0},
     )
-    return hyp, fam
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +319,7 @@ def truncated_holm_gate(alpha: float, gamma: float) -> tuple[HypothesisGraph, Gr
 # ---------------------------------------------------------------------------
 
 
-def graph_to_json(graph: HypothesisGraph, indent: int | None = 2) -> str:
+def graph_to_json(graph: HypothesisGraph) -> str:
     obj = {
         "alpha": graph.alpha,
         "hypotheses": list(graph.labels),
@@ -359,7 +327,7 @@ def graph_to_json(graph: HypothesisGraph, indent: int | None = 2) -> str:
         "transitions": [list(row) for row in graph.transitions],
         "epsilon_edges": sorted([j, k] for j, k in graph.epsilon_edges),
     }
-    return dumps(obj, indent)
+    return dumps(obj, 2)
 
 
 def _reject_constant(name: str):

@@ -24,7 +24,7 @@ evaluates all replicates at once with batch drivers that read each family's
 thresholds and capped bound from its kernel, as the scalar engine does, so
 the formulas exist once; agreement tests hold the two drivers to each
 other, and the hypothesis-level oracle and the lattice reference check the
-formulas independently. Of its own it keeps each family's columns and memo scope.
+formulas independently. Of its own it keeps each family's columns.
 """
 
 from __future__ import annotations
@@ -240,9 +240,9 @@ def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     Work is shared across the configs of one call: score matrices across
     configs that agree on (seed, reps, model, hypothesis count), a column's
     p-values across those that also agree on its shift (delta for a false
-    null, none for a true null), and a family's outcome
-    across consecutive configs that agree on the truth of the family and of
-    every family that can pass level to it. Results equal simulate_fwer's.
+    null, none for a true null), and a family's outcome across consecutive
+    configs that agree on its own truth bits and its sources' outcomes.
+    Results equal simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
     """
@@ -271,16 +271,17 @@ class _Simulator:
     Specs are keyed by identity (`sim_configs_from_json` builds each
     distinct spec once). P-values are mapped one column at a time, when a
     family first needs them. The family memo keeps only the last outcome of
-    each family, which already gets all the sharing there is when masks
-    come in `itertools.product` order; keeping every outcome would cost
-    memory for every mask.
+    each family, keyed on its own columns' inputs and its sources' outcome
+    objects: it is retested exactly when its truth bits or those upstream
+    change. That gets all the sharing there is for masks in
+    `itertools.product` order; keeping every outcome would cost memory.
     """
 
     def __init__(self) -> None:
         self.scores: dict[tuple, np.ndarray] = {}
         # (score key, column, delta, or None for a true null) -> p-values
         self.pcols: dict[tuple, np.ndarray] = {}
-        # id(spec) -> (spec, its labels, its columns and scopes, family memo)
+        # id(spec) -> (spec, its labels, its columns, family memo)
         self.specs: dict[int, tuple] = {}
 
     def simulate(self, config: SimConfig) -> SimResult:
@@ -317,7 +318,7 @@ class _Simulator:
             layout,
             p_of,
             memo,
-            lambda scope: (p_key, false_mask[scope].tobytes()),
+            lambda cols: (p_key, false_mask[cols].tobytes()),
             ~false_mask,
         ).values()
 
@@ -360,9 +361,9 @@ def sweep_to_csv(configs: Sequence[SimConfig], results: Sequence[SimResult]) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Outcome:
-    """One family's result on every row."""
+    """One family's result on every row; it equals only itself."""
 
     rejected: np.ndarray  # (rows, family size)
     spendable: np.ndarray | None  # level it passes on per unit of g; None if it passes none
@@ -370,19 +371,12 @@ class _Outcome:
     hit: np.ndarray | None  # rows that rejected one of its true nulls (None if it has none)
 
 
-def _columns(plan) -> dict[str, tuple[slice, np.ndarray]]:
-    """By family name: its columns in spec.labels() order, and its scope,
-    the sorted columns of it and of every family that can pass it level."""
-    layout: dict[str, tuple[slice, np.ndarray]] = {}
-    scopes: dict[str, set[int]] = {}
-    start = 0
+def _columns(plan) -> dict[str, slice]:
+    """By family name: its columns in spec.labels() order."""
+    layout, start = {}, 0
     for fam in plan.families:
-        cols = slice(start, start + fam.size)
-        start = cols.stop
-        # Sources come before their targets, so their scopes are complete here.
-        inherited = (scopes[src] for src, _ in plan.sources[fam.name])
-        scopes[fam.name] = set(range(cols.start, cols.stop)).union(*inherited)
-        layout[fam.name] = (cols, np.array(sorted(scopes[fam.name])))
+        layout[fam.name] = slice(start, start + fam.size)
+        start += fam.size
     return layout
 
 
@@ -393,14 +387,14 @@ def _evaluate(plan, layout, p_of, memo: dict, key_of, true_null=None) -> dict[st
     p-value matrix; it is called only for families that are tested.
     `true_null` (a mask over all columns) makes each outcome carry its
     column counts and true-null hits. `memo` holds one entry per family: a
-    family whose `key_of(scope)` equals the key stored for it reuses the
-    stored outcome instead of testing again, so the key must cover every
-    input the family's outcome depends on.
+    family reuses its stored outcome when `key_of(cols)` and its sources'
+    outcomes (each equal only to itself) are those stored with it, so
+    `key_of` must cover every input of the family's own columns.
     """
     outcomes: dict[str, _Outcome] = {}
     for fam in plan.families:
-        cols, scope = layout[fam.name]
-        key = key_of(scope)
+        cols = layout[fam.name]
+        key = (key_of(cols), *(outcomes[src] for src, _ in plan.sources[fam.name]))
         if fam.name in memo and memo[fam.name][0] == key:
             outcomes[fam.name] = memo[fam.name][1]
             continue
@@ -471,9 +465,9 @@ def _batch_fixed_point(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> n
         # Holm reads the weight in play, truncated Holm the count in play.
         # A zero weight in play leaves only zero weights, which clear nothing.
         rest = total = None
-        if weight is None:
+        if kernel.kind == "truncated_holm":
             rest = np.maximum(active.sum(axis=1), 1)[:, None]
-        else:
+        elif kernel.kind == "holm":
             total = _row_sum(active, kernel.weights)
             total = np.where(total > 0.0, total, 1.0)[:, None]
         thr = kernel.threshold(level, rest, weight, total)
@@ -516,7 +510,7 @@ _BATCH_DRIVERS = {
 # ---------------------------------------------------------------------------
 
 
-def sim_config_to_json(config: SimConfig, indent: int | None = 2) -> str:
+def sim_config_to_json(config: SimConfig) -> str:
     obj = {
         "spec": json.loads(spec_to_json(config.spec)),
         "truth": dict(sorted(config.truth.items())),
@@ -528,7 +522,7 @@ def sim_config_to_json(config: SimConfig, indent: int | None = 2) -> str:
         "reps": config.reps,
         "seed": config.seed,
     }
-    return dumps(obj, indent)
+    return dumps(obj, 2)
 
 
 def _model_number(model_obj: dict, key: str, default: float) -> float:
@@ -597,5 +591,5 @@ def sim_result_obj(result: SimResult) -> dict:
     }
 
 
-def sim_result_to_json(result: SimResult, indent: int | None = 2) -> str:
-    return dumps(sim_result_obj(result), indent)
+def sim_result_to_json(result: SimResult) -> str:
+    return dumps(sim_result_obj(result), 2)

@@ -219,7 +219,7 @@ def _fixed_point(kernel: Kernel, p, level) -> frozenset[int]:
     while remaining:
         # Holm divides by the weight in play; when that is 0, only zero
         # weights are left, and they clear nothing.
-        total = None if w is None else sum(w[k] for k in remaining) or 1.0
+        total = (sum(w[k] for k in remaining) or 1.0) if kernel.kind == "holm" else None
         rest = len(remaining)
         cleared = {
             k

@@ -157,6 +157,23 @@ class TestStep:
         with pytest.raises(ValueError, match="'F1' -> 'F9'"):
             step(spec, state, "F1", TABLE_PVALUES)
 
+    def _after_f1(self, edges):
+        spec = two_layer_fixed_sequence_spec()
+        pvalues = {label: 0.001 for label in TABLE_PVALUES}
+        _, state = step(spec, initial_state(spec), "F1", pvalues)
+        return spec, dataclasses.replace(state, current_g=edges), pvalues
+
+    def test_back_edge_to_tested_family_rejected(self):
+        # F1 is tested; a live F2 -> F1 edge would hand F1 level it never spends.
+        spec, state, pvalues = self._after_f1({("F2", "F1"): 1.0})
+        with pytest.raises(ValueError, match="'F2' -> 'F1'"):
+            step(spec, state, "F2", pvalues)
+
+    def test_same_layer_edge_rejected(self):
+        spec, state, pvalues = self._after_f1({("F2", "F3"): 1.0})
+        with pytest.raises(ValueError, match="'F2' -> 'F3' must reach an untested later layer"):
+            step(spec, state, "F2", pvalues)
+
     def test_exhausted_state(self):
         spec = self.singleton_gate()
         p = {"H1": 1, "H2": 1, "H3": 1, "H4": 1}
