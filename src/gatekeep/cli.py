@@ -25,17 +25,18 @@ def parse_pvalues(text: str) -> dict[str, float]:
     Duplicate labels, missing fields and out-of-range values are errors
     naming the offending row.
     """
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise SpecFormatError(f"not a valid CSV file: {exc}") from None
+    if not rows:
         raise SpecFormatError("empty p-value file (expected header 'hypothesis,p')")
-    if [h.strip() for h in header] != ["hypothesis", "p"]:
+    if [h.strip() for h in rows[0]] != ["hypothesis", "p"]:
         raise SpecFormatError(
-            f"bad header {header!r}: expected 'hypothesis,p'"
+            f"bad header {rows[0]!r}: expected 'hypothesis,p'"
         )
     out: dict[str, float] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:

@@ -18,13 +18,12 @@ and resolved once per spec object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
-from .jsontext import as_float, dumps, loads
+from .jsontext import dumps, fields, finite, list_of, loads, string
 from .procedures import Kernel
 
 REPLAY_TOL = 1e-12
@@ -146,7 +145,8 @@ def step(
         raise ValueError(f"level {level!r} outside [0, 1]")
     edges = [(dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0]
     for dst, _ in edges:
-        if not any(dst in layer for layer in state.remaining[layer_idx + 1 :]):
+        later = state.remaining[layer_idx + 1 :]
+        if dst not in plan.position or not any(dst in layer for layer in later):
             raise ValueError(f"edge {family!r} -> {dst!r} must reach an untested later layer")
     edges.sort(key=lambda e: plan.position[e[0]])
     outcome = _test(fam, plan.kernels[family], level, pvalues, edges)
@@ -302,43 +302,22 @@ def report_to_json(report: TestReport) -> str:
     return dumps(obj, 2)
 
 
-def _number(value) -> float:
-    x = as_float(value)
-    if x is None or not math.isfinite(x):
-        raise SpecFormatError(f"{value!r} is not a finite number")
-    return x
-
-
-def _name(value) -> str:
-    if not isinstance(value, str):
-        raise SpecFormatError(f"{value!r} is not a string")
-    return value
-
-
-def _list_of(kind: type, value, what: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
-        raise SpecFormatError(f"{what} must be a list of {kind.__name__} values")
-    return value
-
-
 def report_from_json(text: str) -> TestReport:
     """Parse `report_to_json` text. Raises SpecFormatError on malformed input."""
-    obj = loads(text)
-    if not isinstance(obj, dict) or "outcomes" not in obj or "decisions" not in obj:
-        raise SpecFormatError("report must have 'outcomes' and 'decisions'")
+    obj = fields(loads(text), ("outcomes", "decisions"), "report")
     outcomes = []
-    for i, entry in enumerate(_list_of(dict, obj["outcomes"], "outcomes"), start=1):
+    for i, entry in enumerate(list_of(dict, obj["outcomes"], "outcomes"), start=1):
         try:
             outcomes.append(
                 FamilyOutcome(
-                    family=_name(entry["family"]),
-                    level_used=_number(entry["level"]),
-                    rejected=frozenset(_list_of(str, entry["rejected"], "rejected")),
-                    accepted=frozenset(_list_of(str, entry["accepted"], "accepted")),
-                    e_star=_number(entry["e_star"]),
+                    family=string(entry["family"], "family"),
+                    level_used=finite(entry["level"], "level"),
+                    rejected=frozenset(list_of(str, entry["rejected"], "rejected")),
+                    accepted=frozenset(list_of(str, entry["accepted"], "accepted")),
+                    e_star=finite(entry["e_star"], "e_star"),
                     transfers=tuple(
-                        Transfer(_name(t["to"]), _number(t["amount"]))
-                        for t in _list_of(dict, entry["transfers"], "transfers")
+                        Transfer(string(t["to"], "transfer to"), finite(t["amount"], "amount"))
+                        for t in list_of(dict, entry["transfers"], "transfers")
                     ),
                 )
             )
@@ -346,7 +325,4 @@ def report_from_json(text: str) -> TestReport:
             raise SpecFormatError(f"outcome {i}: missing key {exc}") from None
         except SpecFormatError as exc:
             raise SpecFormatError(f"outcome {i}: {exc}") from None
-    decisions = obj["decisions"]
-    if not isinstance(decisions, dict):
-        raise SpecFormatError("decisions must be an object")
-    return TestReport(tuple(outcomes), dict(decisions))
+    return TestReport(tuple(outcomes), dict(fields(obj["decisions"], (), "decisions")))

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidSpecError, SpecFormatError
-from .jsontext import as_float, as_floats, dumps, loads
+from .jsontext import dumps, fields, list_of, loads, number, numbers, string
 from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure
 
 SUM_TOL = 1e-12
@@ -290,27 +290,17 @@ def _procedure_to_obj(proc: LocalProcedureSpec) -> dict:
 
 
 def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: procedure must be an object")
+    obj = fields(obj, (), f"{where}: procedure")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise SpecFormatError(f"{where}: unknown procedure kind {kind!r}")
-    gamma = obj.get("gamma")
-    if gamma is not None:
-        gamma = as_float(gamma)
-        if gamma is None:
-            raise SpecFormatError(f"{where}: gamma must be a number")
-    weights = obj.get("weights")
-    if weights is not None:
-        weights = as_floats(weights)
-        if weights is None:
-            raise SpecFormatError(f"{where}: weights must be a list of numbers")
-    order = obj.get("order")
-    if order is not None:
-        if not isinstance(order, list) or not all(isinstance(s, str) for s in order):
-            raise SpecFormatError(f"{where}: order must be a list of labels")
-        order = tuple(order)
-    return LocalProcedureSpec(kind, gamma=gamma, weights=weights, order=order)
+    gamma, weights, order = (obj.get(key) for key in ("gamma", "weights", "order"))
+    return LocalProcedureSpec(
+        kind,
+        gamma=None if gamma is None else number(gamma, f"{where}: gamma"),
+        weights=None if weights is None else numbers(weights, f"{where}: weights"),
+        order=None if order is None else tuple(list_of(str, order, f"{where}: order")),
+    )
 
 
 def spec_to_json(spec: GraphSpec) -> str:
@@ -338,59 +328,28 @@ def spec_to_json(spec: GraphSpec) -> str:
 
 def spec_from_json(text: str) -> GraphSpec:
     """Parse the spec-file schema. Raises SpecFormatError on malformed input."""
-    obj = loads(text)
-    if not isinstance(obj, dict):
-        raise SpecFormatError("top level must be an object")
-    for key in ("alpha", "layers"):
-        if key not in obj:
-            raise SpecFormatError(f"missing required key {key!r}")
-    alpha = as_float(obj["alpha"])
-    if alpha is None:
-        raise SpecFormatError("alpha must be a number")
-    if not isinstance(obj["layers"], list):
-        raise SpecFormatError("layers must be a list of lists")
-
+    obj = fields(loads(text), ("alpha", "layers"), "spec")
+    alpha = number(obj["alpha"], "alpha")
     layers = []
-    for i, layer in enumerate(obj["layers"], start=1):
-        if not isinstance(layer, list):
-            raise SpecFormatError(f"layer {i} must be a list")
+    for i, layer in enumerate(list_of(list, obj["layers"], "layers"), start=1):
         fams = []
         for j, fam in enumerate(layer, start=1):
             where = f"layer {i}, family {j}"
-            if not isinstance(fam, dict):
-                raise SpecFormatError(f"{where}: must be an object")
-            for key in ("id", "hypotheses", "alpha", "procedure"):
-                if key not in fam:
-                    raise SpecFormatError(f"{where}: missing key {key!r}")
-            if not isinstance(fam["id"], str):
-                raise SpecFormatError(f"{where}: id must be a string")
-            hyps = fam["hypotheses"]
-            if not isinstance(hyps, list) or not all(isinstance(h, str) for h in hyps):
-                raise SpecFormatError(f"{where}: hypotheses must be a list of labels")
-            fam_alpha = as_float(fam["alpha"])
-            if fam_alpha is None:
-                raise SpecFormatError(f"{where}: alpha must be a number")
-            proc = _procedure_from_obj(fam["procedure"], where)
-            fams.append((fam["id"], hyps, fam_alpha, proc))
+            fam = fields(fam, ("id", "hypotheses", "alpha", "procedure"), where)
+            fams.append((
+                string(fam["id"], f"{where}: id"),
+                list_of(str, fam["hypotheses"], f"{where}: hypotheses"),
+                number(fam["alpha"], f"{where}: alpha"),
+                _procedure_from_obj(fam["procedure"], where),
+            ))
         layers.append(fams)
 
-    entries = obj.get("transitions", [])
-    if not isinstance(entries, list):
-        raise SpecFormatError("transitions must be a list")
     transitions: dict[tuple[str, str], float] = {}
-    for t, entry in enumerate(entries, start=1):
+    for t, entry in enumerate(list_of(dict, obj.get("transitions", []), "transitions"), 1):
         where = f"transition {t}"
-        if not isinstance(entry, dict):
-            raise SpecFormatError(f"{where}: must be an object")
-        for key in ("from", "to", "g"):
-            if key not in entry:
-                raise SpecFormatError(f"{where}: missing key {key!r}")
-        g = as_float(entry["g"])
-        if g is None:
-            raise SpecFormatError(f"{where}: g must be a number")
-        pair = (entry["from"], entry["to"])
-        if not all(isinstance(name, str) for name in pair):
-            raise SpecFormatError(f"{where}: from and to must be family ids")
+        entry = fields(entry, ("from", "to", "g"), where)
+        g = number(entry["g"], f"{where}: g")
+        pair = (string(entry["from"], f"{where}: from"), string(entry["to"], f"{where}: to"))
         if pair in transitions:
             raise SpecFormatError(f"{where}: duplicate edge {pair[0]!r} -> {pair[1]!r}")
         transitions[pair] = g

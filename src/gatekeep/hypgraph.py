@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 from .errors import InvalidSpecError, SpecFormatError
 from .graph import GraphSpec, SUM_TOL, ValidationOutcome, make_spec
-from .jsontext import as_float, as_floats, dumps, loads
+from .jsontext import dumps, fields, integer, list_of, loads, number, numbers
 from . import procedures as proc
 
 _REAL_EPS = 1e-14
@@ -335,40 +335,21 @@ def _reject_constant(name: str):
 
 
 def graph_from_json(text: str) -> HypothesisGraph:
-    obj = loads(text, parse_constant=_reject_constant)
-    if not isinstance(obj, dict):
-        raise SpecFormatError("top level must be an object")
-    for key in ("alpha", "hypotheses", "weights", "transitions"):
-        if key not in obj:
-            raise SpecFormatError(f"missing required key {key!r}")
-    alpha = as_float(obj["alpha"])
-    if alpha is None:
-        raise SpecFormatError("alpha must be a number")
-    labels = obj["hypotheses"]
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise SpecFormatError("hypotheses must be a list of labels")
-    weights = as_floats(obj["weights"])
-    if weights is None:
-        raise SpecFormatError("weights must be a list of numbers")
-    rows = obj["transitions"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SpecFormatError("transitions must be a matrix")
-    rows = [as_floats(row) for row in rows]
-    if None in rows:
-        raise SpecFormatError("transitions must be numeric")
+    obj = fields(
+        loads(text, parse_constant=_reject_constant),
+        ("alpha", "hypotheses", "weights", "transitions"),
+        "graph",
+    )
     eps = []
-    for entry in obj.get("epsilon_edges", []):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(i, int) for i in entry)
-        ):
+    for pair in list_of(list, obj.get("epsilon_edges", []), "epsilon_edges"):
+        if len(pair) != 2:
             raise SpecFormatError("epsilon_edges must be [j, k] index pairs")
-        eps.append((entry[0], entry[1]))
+        eps.append(tuple(integer(j, "epsilon edge index") for j in pair))
+    rows = list_of(list, obj["transitions"], "transitions")
     return HypothesisGraph(
-        alpha=alpha,
-        labels=tuple(labels),
-        weights=weights,
-        transitions=tuple(rows),
+        alpha=number(obj["alpha"], "alpha"),
+        labels=tuple(list_of(str, obj["hypotheses"], "hypotheses")),
+        weights=numbers(obj["weights"], "weights"),
+        transitions=tuple(numbers(row, "transition row") for row in rows),
         epsilon_edges=frozenset(eps),
     )

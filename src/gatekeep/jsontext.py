@@ -1,8 +1,12 @@
 """Reading JSON input, and indented JSON text without the standard
 library's pure-Python encoder.
 
-`loads` and `as_float` are the one way input files are read: malformed
-text and numbers a float cannot hold become SpecFormatError.
+`loads` and the field readers below are the one way input files are
+read: malformed text, and a field of the wrong JSON type, become
+SpecFormatError with one message per reader, "<what> must be ...". Types
+are compared exactly, as `json.loads` builds them, so JSON `true` is
+neither a number nor an integer. Checks of meaning (a known kind, a
+duplicate edge, a value in range) stay with each format.
 
 `json.dumps` with an indent cannot use its C encoder. `dumps` writes the
 same bytes in about half the time, appending to one list and encoding
@@ -13,37 +17,82 @@ numbers, booleans and None).
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SpecFormatError
 
 
 def loads(text: str, **kwargs):
-    """`json.loads(text, **kwargs)`; SpecFormatError for malformed text and
-    for nesting deeper than the parser can follow."""
+    """`json.loads(text, **kwargs)`; SpecFormatError for malformed text,
+    for an integer too long to convert and for nesting deeper than the
+    parser can follow."""
     try:
         return json.loads(text, **kwargs)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SpecFormatError(f"not valid JSON: {exc}") from None
 
 
-def as_float(value) -> float | None:
-    """A JSON number as a float; None for anything else, a bool included
-    (JSON `true` is not a number), and for an integer beyond the float range."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+_NUMBERS = (int, float)
+_LARGEST = sys.float_info.max
+_PLURALS = {str: "strings", dict: "objects", list: "lists"}
+
+
+def fields(value, keys, what: str) -> dict:
+    """`value`, a JSON object holding every key in `keys`."""
+    if type(value) is not dict:
+        raise SpecFormatError(f"{what} must be an object")
+    for key in keys:
+        if key not in value:
+            raise SpecFormatError(f"{what}: missing key {key!r}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """A JSON number as a float; NaN and the infinities pass, but not an
+    integer beyond the float range."""
+    if type(value) in _NUMBERS:
         try:
             return float(value)
         except OverflowError:
             pass
-    return None
+    raise SpecFormatError(f"{what} must be a number")
 
 
-def as_floats(values) -> tuple[float, ...] | None:
-    """A JSON list of numbers as floats; None unless every item is one."""
-    if not isinstance(values, list):
-        return None
-    out = tuple(as_float(x) for x in values)
-    return None if None in out else out
+def finite(value, what: str) -> float:
+    """A JSON number as a finite float."""
+    if type(value) in _NUMBERS and -_LARGEST <= value <= _LARGEST:  # NaN fails
+        return float(value)
+    raise SpecFormatError(f"{what} must be a finite number")
+
+
+def numbers(value, what: str) -> tuple[float, ...]:
+    """A JSON list of numbers as floats, as `number` reads each."""
+    if type(value) is list and all(type(x) in _NUMBERS for x in value):
+        try:
+            return tuple(map(float, value))
+        except OverflowError:
+            pass
+    raise SpecFormatError(f"{what} must be a list of numbers")
+
+
+def string(value, what: str) -> str:
+    if type(value) is not str:
+        raise SpecFormatError(f"{what} must be a string")
+    return value
+
+
+def integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise SpecFormatError(f"{what} must be an integer")
+    return value
+
+
+def list_of(kind: type, value, what: str) -> list:
+    """`value`, a JSON list of `kind` (str, dict or list) items."""
+    if type(value) is not list or not all(type(x) is kind for x in value):
+        raise SpecFormatError(f"{what} must be a list of {_PLURALS[kind]}")
+    return value
 
 
 _INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}

@@ -40,7 +40,7 @@ import numpy as np
 # numpy; it stays importable from here.
 from .errors import SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, spec_to_json
-from .jsontext import as_float, dumps, loads
+from .jsontext import dumps, fields, finite, integer, loads, string
 from .procedures import Kernel
 
 MODEL_KINDS = ("independent_uniform", "equicorrelated_normal")
@@ -457,11 +457,11 @@ def _row_sum(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _batch_fixed_point(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
     # Step-down: reject every hypothesis in play that clears its threshold,
-    # until none does, as the scalar driver (Bonferroni included).
+    # until none does, as the scalar driver (Bonferroni in one round).
     reps, n = pmat.shape
     weight = None if kernel.weights is None else np.array(kernel.weights)
     active = np.ones((reps, n), dtype=bool)
-    for _ in range(n):
+    for _ in range(1 if kernel.kind == "bonferroni" else n):
         # Holm reads the weight in play, truncated Holm the count in play.
         # A zero weight in play leaves only zero weights, which clear nothing.
         rest = total = None
@@ -525,48 +525,33 @@ def sim_config_to_json(config: SimConfig) -> str:
     return dumps(obj, 2)
 
 
-def _model_number(model_obj: dict, key: str, default: float) -> float:
-    value = model_obj.get(key, default)
-    number = as_float(value)
-    if number is None or not math.isfinite(number):
-        raise SpecFormatError(f"model {key} must be a finite number, got {value!r}")
-    return number
-
-
 def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimConfig:
     """Build one config; `specs` holds the specs parsed so far, by JSON text,
     so that configs sharing a strategy share one GraphSpec."""
-    if not isinstance(obj, dict):
-        raise SpecFormatError("config must be an object")
-    for key in ("spec", "truth", "reps"):
-        if key not in obj:
-            raise SpecFormatError(f"config missing required key {key!r}")
+    obj = fields(obj, ("spec", "truth", "reps"), "config")
     spec_text = json.dumps(obj["spec"])
     if spec_text not in specs:
         specs[spec_text] = spec_from_json(spec_text)
-    spec = specs[spec_text]
     truth = obj["truth"]
     if not isinstance(truth, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in truth.items()
     ):
         raise SpecFormatError("truth must map labels to true_null/false_null")
-    model_obj = obj.get("model", {})
-    if not isinstance(model_obj, dict):
-        raise SpecFormatError("model must be an object")
-    model = PValueModel(
-        kind=model_obj.get("kind", "independent_uniform"),
-        rho=_model_number(model_obj, "rho", 0.0),
-        delta=_model_number(model_obj, "delta", 3.0),
-    )
-    # bool is a subclass of int, but `"reps": true` is not a count.
-    if not isinstance(obj["reps"], int) or isinstance(obj["reps"], bool):
-        raise SpecFormatError("reps must be an integer")
+    model = fields(obj.get("model", {}), (), "model")
     effective_seed = obj.get("seed", seed)
     if effective_seed is None:
         raise SpecFormatError("no seed: provide one in the config or via --seed")
-    if not isinstance(effective_seed, int) or isinstance(effective_seed, bool):
-        raise SpecFormatError("seed must be an integer")
-    return SimConfig(spec, dict(truth), model, obj["reps"], effective_seed)
+    return SimConfig(
+        specs[spec_text],
+        dict(truth),
+        PValueModel(
+            kind=string(model.get("kind", "independent_uniform"), "model kind"),
+            rho=finite(model.get("rho", 0.0), "model rho"),
+            delta=finite(model.get("delta", 3.0), "model delta"),
+        ),
+        integer(obj["reps"], "reps"),
+        integer(effective_seed, "seed"),
+    )
 
 
 def sim_configs_from_json(text: str, seed: int | None = None) -> list[SimConfig]:

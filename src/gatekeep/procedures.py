@@ -213,10 +213,10 @@ def _fixed_point(kernel: Kernel, p, level) -> frozenset[int]:
     # until none does. Rejecting one only raises the others' thresholds, so
     # this is the one-at-a-time walk; testing only the smallest p / w would
     # stop early where two ratios round to a tie. Bonferroni's thresholds
-    # never move, so its second round clears nothing: the single step.
+    # never move, so it stops after one round: the single step.
     w = kernel.weights
     remaining = list(range(kernel.n))
-    while remaining:
+    for _ in range(1 if kernel.kind == "bonferroni" else kernel.n):
         # Holm divides by the weight in play; when that is 0, only zero
         # weights are left, and they clear nothing.
         total = (sum(w[k] for k in remaining) or 1.0) if kernel.kind == "holm" else None

@@ -371,6 +371,19 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--graph", str(gpath), "--pvalues", str(ppath)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("eps", ["5", "null", "[[0, true]]"])
+    def test_malformed_epsilon_edges_exit_1_without_traceback(self, tmp_path, capsys, eps):
+        graph, _ = hypgraph.serial_holm_gate_single(0.05)
+        obj = json.loads(hypgraph.graph_to_json(graph))
+        obj["epsilon_edges"] = "@"
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(json.dumps(obj).replace('"@"', eps))
+        ppath = tmp_path / "p.csv"
+        ppath.write_text("hypothesis,p\nH1,0.01\nH2,0.02\nH3,0.5\n")
+        assert cli.main(["oracle", "--graph", str(gpath), "--pvalues", str(ppath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon") and "Traceback" not in err
+
     def test_invalid_graph_exit_2(self, tmp_path):
         graph, _ = hypgraph.bonferroni_gate_pair(0.05)
         bad = hypgraph.HypothesisGraph(

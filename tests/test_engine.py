@@ -157,6 +157,17 @@ class TestStep:
         with pytest.raises(ValueError, match="'F1' -> 'F9'"):
             step(spec, state, "F1", TABLE_PVALUES)
 
+    def test_edge_to_family_outside_the_spec_named(self):
+        # F9 is listed as untested but the spec has no such family.
+        spec = two_layer_fixed_sequence_spec()
+        state = dataclasses.replace(
+            initial_state(spec),
+            remaining=(frozenset({"F1"}), frozenset({"F2", "F3", "F9"})),
+            current_g={("F1", "F9"): 1.0},
+        )
+        with pytest.raises(ValueError, match="'F1' -> 'F9'"):
+            step(spec, state, "F1", TABLE_PVALUES)
+
     def _after_f1(self, edges):
         spec = two_layer_fixed_sequence_spec()
         pvalues = {label: 0.001 for label in TABLE_PVALUES}
@@ -412,6 +423,48 @@ class TestReplay:
         flipped["H22"] = "S"
         outcome = replay(gk.TestReport(report.outcomes, flipped), spec)
         assert any("decision for H22" in v for v in outcome.violations)
+
+    @staticmethod
+    def _replay_edited(edit):
+        """Replay the two-layer fixed-sequence report after `edit` changes
+        its JSON object; F1 rejects everything and passes 0.02 to F2 and F3."""
+        spec = two_layer_fixed_sequence_spec()
+        obj = json.loads(report_to_json(gk.run(spec, TABLE_PVALUES)))
+        edit(obj)
+        return replay(report_from_json(json.dumps(obj)), spec)
+
+    def test_edited_e_star_is_the_one_violation(self):
+        def edit(obj):
+            obj["outcomes"][1]["e_star"] = 0.5
+
+        assert self._replay_edited(edit).violations == (
+            "family F2: e_star 0.5, re-derived 0.025",
+        )
+
+    def test_unexpected_transfer_is_the_one_violation(self):
+        def edit(obj):
+            obj["outcomes"][1]["transfers"].append({"to": "F3", "amount": 0.0})
+
+        assert self._replay_edited(edit).violations == ("family F2: unexpected transfer to F3",)
+
+    def test_missing_transfer_is_the_one_violation(self):
+        def edit(obj):
+            del obj["outcomes"][0]["transfers"][1]
+
+        assert self._replay_edited(edit).violations == ("family F1: missing transfer to F3",)
+
+    def test_rejected_hypothesis_decided_ns_is_the_one_violation(self):
+        def edit(obj):
+            obj["decisions"]["H11"] = "NS"
+
+        assert self._replay_edited(edit).violations == ("decision for H11 is 'NS', not S",)
+
+    def test_decisions_not_covering_the_labels_raise(self):
+        def edit(obj):
+            del obj["decisions"]["H33"]
+
+        with pytest.raises(ValueError, match="decisions cover .*, spec labels are"):
+            self._replay_edited(edit)
 
     def test_structural_mismatch_raises(self):
         spec = two_layer_fixed_sequence_spec()

@@ -11,6 +11,7 @@ import gatekeep as gk
 from gatekeep import mcsim
 from gatekeep import procedures as proc
 from gatekeep.mcsim import PValueModel, SimConfig, SweepError
+from gatekeep.procedures import Kernel
 
 from conftest import (
     all_true_null,
@@ -413,6 +414,20 @@ class TestBatchAgreesWithEngine:
             assert report.decisions[labels[k]] == "S"
             expect = [report.decisions[l] == "S" for l in labels]
             assert mcsim.batch_run(spec, pmat)[0].tolist() == expect
+
+    def test_bonferroni_tests_in_one_round(self, monkeypatch):
+        # Its thresholds never move, so a second round could clear nothing.
+        calls = []
+        threshold = Kernel.threshold
+        monkeypatch.setattr(
+            Kernel, "threshold", lambda self, *args: calls.append(1) or threshold(self, *args)
+        )
+        spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05, proc.bonferroni())]])
+        assert gk.run(spec, {"H1": 0.001, "H2": 0.9}).decisions == {"H1": "S", "H2": "NS"}
+        assert len(calls) == 2  # one threshold per hypothesis
+        calls.clear()
+        assert mcsim.batch_run(spec, np.array([[0.001, 0.9]]))[0].tolist() == [True, False]
+        assert len(calls) == 1  # one threshold matrix
 
     def test_batch_run_validates(self):
         spec = gk.make_spec(0.05, [[("F1", ["H1"], 0.2, proc.bonferroni())]])
