@@ -11,12 +11,18 @@ import argparse
 import csv
 import dataclasses
 import io
+import re
 import sys
 
 from .engine import TestReport, report_to_json, run
 from .errors import InvalidSpecError, SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, to_dot, validate_spec
-from .jsontext import dumps
+from .jsontext import dumps, write_list
+
+# What parse_pvalues reads as a number, once stripped: a plain ASCII decimal
+# with optional sign and exponent. float() alone would also take "1_0", "nan",
+# "inf" and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def parse_pvalues(text: str) -> dict[str, float]:
@@ -42,12 +48,9 @@ def parse_pvalues(text: str) -> dict[str, float]:
         if len(row) != 2:
             raise SpecFormatError(f"row {row_number}: expected 2 fields, got {len(row)}")
         label = row[0].strip()
-        try:
-            p = float(row[1])
-        except ValueError:
-            raise SpecFormatError(
-                f"row {row_number}: p-value {row[1]!r} is not a number"
-            ) from None
+        if not _DECIMAL.fullmatch(row[1].strip()):
+            raise SpecFormatError(f"row {row_number}: p-value {row[1]!r} is not a number")
+        p = float(row[1])
         if not 0.0 <= p <= 1.0:
             raise SpecFormatError(f"row {row_number}: p-value {p!r} outside [0, 1]")
         if label in out:
@@ -132,9 +135,12 @@ def _cmd_simulate(args) -> int:
     configs = sim_configs_from_json(_read(args.config), seed=args.seed)
     configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
     results = sweep(configs)
-    objs = [sim_result_obj(r) for r in results]
-    out = objs[0] if len(objs) == 1 else objs
-    sys.stdout.write(dumps(out, 2) + "\n")
+    # One result is written as an object, several as a list, one at a time.
+    if len(results) == 1:
+        sys.stdout.write(dumps(sim_result_obj(results[0]), 2))
+    else:
+        write_list(map(sim_result_obj, results), sys.stdout.write, 2)
+    sys.stdout.write("\n")
     if args.csv:
         _write(args.csv, sweep_to_csv(configs, results))
     return 0

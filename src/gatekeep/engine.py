@@ -302,11 +302,18 @@ def report_to_json(report: TestReport) -> str:
     return dumps(obj, 2)
 
 
+def _transfer(obj) -> Transfer:
+    fields(obj, ("to", "amount"), "transfer")
+    return Transfer(string(obj["to"], "transfer to"), finite(obj["amount"], "amount"))
+
+
 def report_from_json(text: str) -> TestReport:
     """Parse `report_to_json` text. Raises SpecFormatError on malformed input."""
     obj = fields(loads(text), ("outcomes", "decisions"), "report")
     outcomes = []
     for i, entry in enumerate(list_of(dict, obj["outcomes"], "outcomes"), start=1):
+        keys = ("family", "level", "rejected", "accepted", "e_star", "transfers")
+        fields(entry, keys, f"outcome {i}")
         try:
             outcomes.append(
                 FamilyOutcome(
@@ -316,13 +323,10 @@ def report_from_json(text: str) -> TestReport:
                     accepted=frozenset(list_of(str, entry["accepted"], "accepted")),
                     e_star=finite(entry["e_star"], "e_star"),
                     transfers=tuple(
-                        Transfer(string(t["to"], "transfer to"), finite(t["amount"], "amount"))
-                        for t in list_of(dict, entry["transfers"], "transfers")
+                        map(_transfer, list_of(dict, entry["transfers"], "transfers"))
                     ),
                 )
             )
-        except KeyError as exc:
-            raise SpecFormatError(f"outcome {i}: missing key {exc}") from None
         except SpecFormatError as exc:
             raise SpecFormatError(f"outcome {i}: {exc}") from None
-    return TestReport(tuple(outcomes), dict(fields(obj["decisions"], (), "decisions")))
+    return TestReport(tuple(outcomes), dict(fields(obj["decisions"], (), "decisions", None)))

@@ -290,7 +290,7 @@ def _procedure_to_obj(proc: LocalProcedureSpec) -> dict:
 
 
 def _procedure_from_obj(obj, where: str) -> LocalProcedureSpec:
-    obj = fields(obj, (), f"{where}: procedure")
+    obj = fields(obj, (), f"{where}: procedure", ("kind", "gamma", "weights", "order"))
     kind = obj.get("kind")
     if kind not in KINDS:
         raise SpecFormatError(f"{where}: unknown procedure kind {kind!r}")
@@ -328,7 +328,7 @@ def spec_to_json(spec: GraphSpec) -> str:
 
 def spec_from_json(text: str) -> GraphSpec:
     """Parse the spec-file schema. Raises SpecFormatError on malformed input."""
-    obj = fields(loads(text), ("alpha", "layers"), "spec")
+    obj = fields(loads(text), ("alpha", "layers"), "spec", ("transitions",))
     alpha = number(obj["alpha"], "alpha")
     layers = []
     for i, layer in enumerate(list_of(list, obj["layers"], "layers"), start=1):

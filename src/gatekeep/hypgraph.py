@@ -339,6 +339,7 @@ def graph_from_json(text: str) -> HypothesisGraph:
         loads(text, parse_constant=_reject_constant),
         ("alpha", "hypotheses", "weights", "transitions"),
         "graph",
+        ("epsilon_edges",),
     )
     eps = []
     for pair in list_of(list, obj.get("epsilon_edges", []), "epsilon_edges"):

@@ -2,8 +2,9 @@
 library's pure-Python encoder.
 
 `loads` and the field readers below are the one way input files are
-read: malformed text, and a field of the wrong JSON type, become
-SpecFormatError with one message per reader, "<what> must be ...". Types
+read: malformed text, a field of the wrong JSON type and a key that an
+object of fixed shape does not take become SpecFormatError with one
+message per reader, "<what> must be ..." or "<what>: unknown key ...". Types
 are compared exactly, as `json.loads` builds them, so JSON `true` is
 neither a number nor an integer. Checks of meaning (a known kind, a
 duplicate edge, a value in range) stay with each format.
@@ -38,13 +39,18 @@ _LARGEST = sys.float_info.max
 _PLURALS = {str: "strings", dict: "objects", list: "lists"}
 
 
-def fields(value, keys, what: str) -> dict:
-    """`value`, a JSON object holding every key in `keys`."""
+def fields(value, keys, what: str, optional=()) -> dict:
+    """`value`, a JSON object holding every key in `keys`, and besides them
+    only keys in `optional`, or any key if `optional` is None (a map by label)."""
     if type(value) is not dict:
         raise SpecFormatError(f"{what} must be an object")
     for key in keys:
         if key not in value:
             raise SpecFormatError(f"{what}: missing key {key!r}")
+    if optional is not None and len(value) > len(keys):
+        unknown = [key for key in value if key not in keys and key not in optional]
+        if unknown:
+            raise SpecFormatError(f"{what}: unknown key {min(unknown)!r}")
     return value
 
 
@@ -109,6 +115,20 @@ def dumps(obj, indent: int | None = None) -> str:
     out: list[str] = []
     _encode(obj, "\n", " " * indent, out)
     return "".join(out)
+
+
+def write_list(items, write, indent: int) -> None:
+    """`write(dumps(list(items), indent))` in pieces, one per item, so that
+    only one item and its text are held at a time."""
+    step = " " * indent
+    inner = "\n" + step
+    sep = "[" + inner
+    for item in items:
+        out = [sep]
+        _encode(item, inner, step, out)
+        write("".join(out))
+        sep = "," + inner
+    write("[]" if sep[0] == "[" else "\n]")
 
 
 # Leaf types and their text; bool comes before int, of which it is a subclass.

@@ -8,7 +8,11 @@ below the global level (up to noise) for every truth assignment.
 
 Reproducibility contract: replicate r draws from a counter-based stream
 keyed by (seed, r), so results are bit-identical for a given config no
-matter how replicates are scheduled or batched.
+matter how replicates are scheduled or batched. Replicates are evaluated
+in blocks of `_BLOCK` rows and only counts are kept across blocks, so
+memory does not grow with reps: it is the block times the number of
+distinct score matrices and p-value columns a sweep needs. A config list is parsed one
+element at a time, so only one element's JSON tree is held.
 
 P-value generation: every hypothesis gets a standard normal score; under
 the equicorrelated model the scores share a common factor with correlation
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.decoder import WHITESPACE
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -196,12 +201,19 @@ def ndtr(a) -> np.ndarray:
 
 
 def draw_scores(
-    seed: int, reps: int, n: int, kind: str = "independent_uniform", rho: float = 0.0
+    seed: int,
+    reps: int,
+    n: int,
+    kind: str = "independent_uniform",
+    rho: float = 0.0,
+    first: int = 0,
 ) -> np.ndarray:
-    """Draw the (reps, n) matrix of standard normal scores.
+    """Draw the (reps, n) matrix of standard normal scores of rows
+    `first`, ..., `first + reps - 1`.
 
     Row r comes entirely from the stream keyed by (seed, r); the result
-    depends only on the arguments, never on batching.
+    depends only on the arguments, never on batching, so a block of rows
+    equals the same rows of a larger draw.
     """
     # Row r's stream is Philox keyed by seed << 64 | r, from counter 0 with
     # an empty buffer. Resetting one generator to that state per row gives
@@ -213,12 +225,17 @@ def draw_scores(
     correlated = kind == "equicorrelated_normal"
     raw = np.empty((reps, n + 1 if correlated else n))
     for r in range(reps):
-        key[0] = r
+        key[0] = first + r
         bitgen.state = state
         rng.standard_normal(out=raw[r])
     if correlated:
         return math.sqrt(rho) * raw[:, :1] + math.sqrt(1.0 - rho) * raw[:, 1:]
     return raw
+
+
+# Rows per block. Replicates are evaluated one block of rows at a time, so
+# memory does not grow with reps; 1e4-rep sweeps stay one block.
+_BLOCK = 16384
 
 
 def simulate_fwer(config: SimConfig, _scores: np.ndarray | None = None) -> SimResult:
@@ -228,35 +245,72 @@ def simulate_fwer(config: SimConfig, _scores: np.ndarray | None = None) -> SimRe
     reuse one score matrix across truth assignments sharing a seed/model;
     it must come from :func:`draw_scores` with this config's parameters.
     """
-    sim = _Simulator()
-    if _scores is not None:
-        sim.scores[_score_key(config, len(config.spec.labels()))] = _scores
-    return sim.simulate(config)
+    results, errors = _run([config], _scores)
+    if errors:
+        raise errors[0][1]
+    return results[0]
 
 
 def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     """simulate_fwer for each config, in order.
 
-    Work is shared across the configs of one call: score matrices across
-    configs that agree on (seed, reps, model, hypothesis count), a column's
-    p-values across those that also agree on its shift (delta for a false
-    null, none for a true null), and a family's outcome across consecutive
-    configs that agree on its own truth bits and its sources' outcomes.
-    Results equal simulate_fwer's.
+    Replicates run in blocks of `_BLOCK` rows: every config's first block,
+    then every second block, and so on, and each config's counts are added
+    up over its blocks. Within each block of rows, work is shared across
+    the configs of one call: score matrices across configs that agree on
+    (seed, reps, model, hypothesis count), a column's p-values across those
+    that also agree on its shift (delta for a false null, none for a true
+    null), and a family's outcome across consecutive configs that agree on
+    its own truth bits and its sources' outcomes. Results equal
+    simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
     """
-    sim = _Simulator()
-    results: dict[int, SimResult] = {}
-    errors: list[tuple[int, Exception]] = []
-    for i, config in enumerate(configs):
-        try:
-            results[i] = sim.simulate(config)
-        except Exception as exc:  # noqa: BLE001 - per-element isolation
-            errors.append((i, exc))
+    results, errors = _run(configs)
     if errors:
         raise SweepError(errors, results)
     return [results[i] for i in range(len(configs))]
+
+
+def _run(
+    configs: Sequence[SimConfig], scores: np.ndarray | None = None
+) -> tuple[dict[int, SimResult], list[tuple[int, Exception]]]:
+    """Results by index, and (index, error) pairs in config order.
+
+    A config that fails in one block is left out of the later ones.
+    """
+    errors: dict[int, Exception] = {}
+    # index -> (true-null hit rows, rejections per column) over its blocks so far
+    totals: dict[int, tuple[int, list[int]]] = {}
+    live = range(len(configs))
+    start = 0
+    while live:
+        sim = _Simulator(start, scores)
+        for i in live:
+            try:
+                hits, counts = sim.simulate(configs[i])
+            except Exception as exc:  # noqa: BLE001 - per-element isolation
+                errors[i] = exc
+                totals.pop(i, None)
+                continue
+            if i in totals:
+                hits += totals[i][0]
+                counts = [a + b for a, b in zip(totals[i][1], counts)]
+            totals[i] = (hits, counts)
+        start += _BLOCK
+        live = [i for i in totals if configs[i].reps > start]
+    results = {}
+    for i, (hits, counts) in totals.items():
+        config = configs[i]
+        fwer_hat = hits / config.reps
+        results[i] = SimResult(
+            fwer_hat=fwer_hat,
+            se=math.sqrt(fwer_hat * (1.0 - fwer_hat) / config.reps),
+            rejections_per_hypothesis=dict(zip(config.spec.labels(), counts)),
+            reps=config.reps,
+            seed=config.seed,
+        )
+    return results, sorted(errors.items())
 
 
 def _score_key(config: SimConfig, n: int) -> tuple:
@@ -266,25 +320,36 @@ def _score_key(config: SimConfig, n: int) -> tuple:
 
 
 class _Simulator:
-    """The caches one simulate_fwer or sweep call shares across its configs.
+    """The caches one block of rows shares across the configs of a
+    simulate_fwer or sweep call.
 
-    Specs are keyed by identity (`sim_configs_from_json` builds each
-    distinct spec once). P-values are mapped one column at a time, when a
-    family first needs them. The family memo keeps only the last outcome of
-    each family, keyed on its own columns' inputs and its sources' outcome
+    It holds rows `start`, ..., `start + _BLOCK - 1` of each config (fewer
+    where reps ends sooner) and evicts nothing, so its memory is one block
+    per distinct score key (seed, reps, model) plus one block-long column
+    per distinct (score key, column, delta): it grows with those keys, not
+    with reps. Specs
+    are keyed by identity (`sim_configs_from_json` builds each distinct
+    spec once). P-values are mapped one column at a time, when a family
+    first needs them. The family memo keeps only the last outcome of each
+    family, keyed on its own columns' inputs and its sources' outcome
     objects: it is retested exactly when its truth bits or those upstream
     change. That gets all the sharing there is for masks in
     `itertools.product` order; keeping every outcome would cost memory.
+    `scores`, if given, is the whole score matrix of a lone config.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, start: int, scores: np.ndarray | None = None) -> None:
+        self.start = start
+        self.given = scores
         self.scores: dict[tuple, np.ndarray] = {}
         # (score key, column, delta, or None for a true null) -> p-values
         self.pcols: dict[tuple, np.ndarray] = {}
         # id(spec) -> (spec, its labels, its columns, family memo)
         self.specs: dict[int, tuple] = {}
 
-    def simulate(self, config: SimConfig) -> SimResult:
+    def simulate(self, config: SimConfig) -> tuple[int, list[int]]:
+        """The block's rows that rejected a true null, and its rejections
+        per column (spec label order)."""
         spec = config.spec
         if id(spec) not in self.specs:
             self.specs[id(spec)] = (spec, spec.labels(), _columns(spec.plan), {})
@@ -293,11 +358,19 @@ class _Simulator:
         score_key = _score_key(config, len(labels))
         scores = self.scores.get(score_key)
         if scores is None:
-            scores = self.scores[score_key] = draw_scores(*score_key)
-        elif scores.shape != (config.reps, len(labels)):
-            raise ValueError(
-                f"score matrix shape {scores.shape} != ({config.reps}, {len(labels)})"
-            )
+            stop = min(config.reps, self.start + _BLOCK)
+            if self.given is None:
+                m = config.model
+                scores = draw_scores(
+                    config.seed, stop - self.start, len(labels), m.kind, m.rho, self.start
+                )
+            elif self.given.shape != (config.reps, len(labels)):
+                raise ValueError(
+                    f"score matrix shape {self.given.shape} != ({config.reps}, {len(labels)})"
+                )
+            else:
+                scores = self.given[self.start:stop]
+            self.scores[score_key] = scores
         delta = config.model.delta
         false_mask = np.array([config.truth[label] == FALSE_NULL for label in labels])
 
@@ -326,15 +399,8 @@ class _Simulator:
         for outcome in outcomes:
             if outcome.hit is not None:
                 hit = outcome.hit if hit is None else hit | outcome.hit
-        fwer_hat = 0.0 if hit is None else int(np.count_nonzero(hit)) / config.reps
-        counts = [c for outcome in outcomes for c in outcome.counts]
-        return SimResult(
-            fwer_hat=fwer_hat,
-            se=math.sqrt(fwer_hat * (1.0 - fwer_hat) / config.reps),
-            rejections_per_hypothesis=dict(zip(labels, counts)),
-            reps=config.reps,
-            seed=config.seed,
-        )
+        hits = 0 if hit is None else int(np.count_nonzero(hit))
+        return hits, [c for outcome in outcomes for c in outcome.counts]
 
 
 def truth_mask(config: SimConfig) -> str:
@@ -528,21 +594,25 @@ def sim_config_to_json(config: SimConfig) -> str:
 def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimConfig:
     """Build one config; `specs` holds the specs parsed so far, by JSON text,
     so that configs sharing a strategy share one GraphSpec."""
-    obj = fields(obj, ("spec", "truth", "reps"), "config")
-    spec_text = json.dumps(obj["spec"])
+    obj = fields(obj, ("spec", "truth", "reps"), "config", ("model", "seed"))
+    try:
+        spec_text = json.dumps(obj["spec"])
+    except RecursionError as exc:  # a list element nested as deep as json.loads allows
+        raise SpecFormatError(f"not valid JSON: {exc}") from None
     if spec_text not in specs:
         specs[spec_text] = spec_from_json(spec_text)
+    spec = specs[spec_text]
     truth = obj["truth"]
     if not isinstance(truth, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in truth.items()
     ):
         raise SpecFormatError("truth must map labels to true_null/false_null")
-    model = fields(obj.get("model", {}), (), "model")
+    model = fields(obj.get("model", {}), (), "model", ("kind", "rho", "delta"))
     effective_seed = obj.get("seed", seed)
     if effective_seed is None:
         raise SpecFormatError("no seed: provide one in the config or via --seed")
     return SimConfig(
-        specs[spec_text],
+        spec,
         dict(truth),
         PValueModel(
             kind=string(model.get("kind", "independent_uniform"), "model kind"),
@@ -554,13 +624,43 @@ def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimC
     )
 
 
+def _json_error(message: str, text: str, pos: int) -> SpecFormatError:
+    return SpecFormatError(f"not valid JSON: {json.JSONDecodeError(message, text, pos)}")
+
+
 def sim_configs_from_json(text: str, seed: int | None = None) -> list[SimConfig]:
-    """Parse one config object or a list of them; `seed` fills missing seeds."""
-    obj = loads(text)
+    """Parse one config object or a list of them; `seed` fills missing seeds.
+
+    A list is read one element at a time, and each config is built before
+    the next element is decoded, so only one element's tree is held. It
+    accepts exactly what `json.loads` accepts.
+    """
     specs: dict[str, GraphSpec] = {}
-    if isinstance(obj, list):
-        return [_config_from_obj(entry, seed, specs) for entry in obj]
-    return [_config_from_obj(obj, seed, specs)]
+    skip = WHITESPACE.match
+    i = skip(text).end()
+    if text[i:i + 1] != "[":
+        return [_config_from_obj(loads(text), seed, specs)]
+    decode = json.JSONDecoder().raw_decode
+    configs = []
+    i = skip(text, i + 1).end()
+    if text[i:i + 1] != "]":
+        while True:
+            try:
+                entry, i = decode(text, i)
+            except (ValueError, RecursionError) as exc:
+                raise SpecFormatError(f"not valid JSON: {exc}") from None
+            configs.append(_config_from_obj(entry, seed, specs))
+            del entry  # before the next element is decoded
+            i = skip(text, i).end()
+            if text[i:i + 1] != ",":
+                break
+            i = skip(text, i + 1).end()
+        if text[i:i + 1] != "]":
+            raise _json_error("Expecting ',' delimiter", text, i)
+    i = skip(text, i + 1).end()
+    if i != len(text):
+        raise _json_error("Extra data", text, i)
+    return configs
 
 
 def sim_result_obj(result: SimResult) -> dict:

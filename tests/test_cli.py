@@ -279,6 +279,23 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"seed {seed} outside" in err
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_stdout_is_one_indented_document(self, tmp_path, capsys, count):
+        # A list is written one result at a time, in json.dumps's bytes;
+        # a list of one config prints its result as an object.
+        path = self.config_file(tmp_path)
+        obj = json.loads((tmp_path / "config.json").read_text())
+        configs = [dict(obj, reps=50 + k) for k in range(count)]
+        (tmp_path / "config.json").write_text(json.dumps(configs))
+        assert cli.main(["simulate", "--config", path, "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        results = json.loads(out)
+        assert out == json.dumps(results, indent=2, sort_keys=True) + "\n"
+        if count == 1:
+            assert results["reps"] == 50
+        else:
+            assert [r["reps"] for r in results] == [50 + k for k in range(count)]
+
     def test_unwritable_csv_exit_1(self, tmp_path, capsys):
         path = self.config_file(tmp_path)
         out = str(tmp_path / "missing-dir" / "sweep.csv")

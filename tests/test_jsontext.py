@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gatekeep as gk
 from gatekeep import hypgraph, mcsim
-from gatekeep.jsontext import dumps
+from gatekeep.jsontext import dumps, write_list
 
 from conftest import parallel_split_spec
 
@@ -42,6 +42,15 @@ def test_same_text_as_json_dumps(obj, indent):
 @pytest.mark.parametrize("indent", [0, 1, 2])
 def test_edge_shapes(obj, indent):
     assert dumps(obj, indent) == json.dumps(obj, indent=indent, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trees, max_size=6), st.sampled_from([0, 1, 2, 4]))
+def test_list_written_one_item_at_a_time(items, indent):
+    pieces = []
+    write_list(iter(items), pieces.append, indent)
+    assert "".join(pieces) == json.dumps(items, indent=indent, sort_keys=True)
+    assert len(pieces) == max(len(items), 1) + bool(items)
 
 
 def test_unserializable_values_and_keys_raise():

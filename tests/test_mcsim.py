@@ -493,3 +493,105 @@ class TestJsonFormats:
             "fwer_hat", "se", "rejections_per_hypothesis", "reps", "seed"
         }
         assert type(result.fwer_hat) is float
+
+
+class TestBlocks:
+    """Replicates run in blocks of `_BLOCK` rows; no result depends on the
+    block size."""
+
+    @staticmethod
+    def mixed_configs(block):
+        # Shuffled specs, truths, models and seeds, with reps spanning one,
+        # two and three blocks of `block` rows.
+        import itertools
+        import random
+
+        specs = [three_layer_step_up_spec(), parallel_split_spec()]
+        models = [PValueModel(delta=2.5),
+                  PValueModel("equicorrelated_normal", rho=0.4, delta=3.0)]
+        configs = []
+        for spec, model, reps, seed in itertools.product(
+            specs, models, (block - 2, block + 3, 2 * block + 1), (5, 6)
+        ):
+            labels = spec.labels()
+            for bits in ((True, True, True), (True, False, True), (False, False, False)):
+                truth = {
+                    label: "true_null" if bits[k % 3] else "false_null"
+                    for k, label in enumerate(labels)
+                }
+                configs.append(SimConfig(spec, truth, model, reps, seed))
+        random.Random(block).shuffle(configs)
+        return configs
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_mixed_sweep_does_not_depend_on_the_block(self, monkeypatch, block):
+        configs = self.mixed_configs(block)
+        assert max(c.reps for c in configs) > 2 * block
+        whole = mcsim.sweep(configs)  # every config in one block
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        assert mcsim.sweep(configs) == whole
+        assert [mcsim.simulate_fwer(c) for c in configs[:6]] == whole[:6]
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    @pytest.mark.parametrize(
+        "model", [PValueModel(), PValueModel("equicorrelated_normal", rho=0.3, delta=2.0)]
+    )
+    def test_simulate_and_given_scores_do_not_depend_on_the_block(
+        self, monkeypatch, block, model
+    ):
+        spec = three_layer_step_up_spec()
+        labels = spec.labels()
+        truth = {label: "true_null" if k % 2 else "false_null" for k, label in enumerate(labels)}
+        config = SimConfig(spec, truth, model, 2 * block + 5, 9)
+        scores = mcsim.draw_scores(9, config.reps, len(labels), model.kind, model.rho)
+        whole = mcsim.simulate_fwer(config)
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        assert mcsim.simulate_fwer(config) == whole
+        assert mcsim.simulate_fwer(config, _scores=scores) == whole
+
+    def test_given_scores_shape_is_checked_on_the_whole_matrix(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_BLOCK", 7)
+        config = small_config(reps=20)
+        scores = mcsim.draw_scores(config.seed, 21, 9)  # one row too many
+        with pytest.raises(ValueError, match=r"score matrix shape \(21, 9\) != \(20, 9\)"):
+            mcsim.simulate_fwer(config, _scores=scores)
+
+    def test_failed_config_keeps_its_place(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_BLOCK", 7)
+        good = small_config(reps=20)
+        bad = dataclasses.replace(good, reps=0)
+        with pytest.raises(SweepError) as info:
+            mcsim.sweep([bad, good, bad, small_config(reps=5)])
+        assert [i for i, _ in info.value.errors] == [0, 2]
+        assert info.value.results == {
+            1: mcsim.simulate_fwer(good), 3: mcsim.simulate_fwer(small_config(reps=5))
+        }
+
+    @pytest.mark.parametrize(
+        "kind, rho", [("independent_uniform", 0.0), ("equicorrelated_normal", 0.35)]
+    )
+    @pytest.mark.parametrize("first, count", [(0, 5), (3, 10), (17, 1), (29, 0)])
+    def test_draw_from_a_first_row_is_a_slice(self, kind, rho, first, count):
+        whole = mcsim.draw_scores(11, 30, 4, kind, rho)
+        part = mcsim.draw_scores(11, count, 4, kind, rho, first=first)
+        assert part.shape == (count, 4)
+        assert np.array_equal(part, whole[first:first + count])
+
+    def test_simulate_memory_is_bounded_by_the_block(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(mcsim, "_BLOCK", 1000)
+        spec = three_layer_step_up_spec()
+        labels = spec.labels()
+        truth = {label: "true_null" if k % 3 else "false_null" for k, label in enumerate(labels)}
+        config = SimConfig(
+            spec, truth, PValueModel("equicorrelated_normal", rho=0.4, delta=3.0), 20_000, 3
+        )
+        tracemalloc.start()
+        try:
+            mcsim.simulate_fwer(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1000-row blocks peak at about 1 MB; all 20000 rows at once, about 5.5 MB.
+        assert peak <= 2e6

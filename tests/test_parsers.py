@@ -196,3 +196,226 @@ def test_integer_too_long_to_convert():
 def test_csv_field_over_the_csv_size_limit():
     with pytest.raises(gk.SpecFormatError, match="not a valid CSV file"):
         parse_pvalues('hypothesis,p\nH1,"' + "1" * 200_000 + '"\n')
+
+
+# ---------------------------------------------------------------------------
+# Unknown keys in fixed-shape objects
+# ---------------------------------------------------------------------------
+
+
+def _path(fmt, obj):
+    """The objects of one document that take only fixed keys, by name."""
+    if fmt == "spec":
+        return {"spec": obj, "family": obj["layers"][0][0],
+                "procedure": obj["layers"][0][0]["procedure"], "transition": obj["transitions"][0]}
+    if fmt == "graph":
+        return {"graph": obj}
+    if fmt == "config":
+        return {"config": obj[0], "model": obj[0]["model"]}
+    return {"report": obj, "outcome": obj["outcomes"][0],
+            "transfer": obj["outcomes"][0]["transfers"][0]}
+
+
+UNKNOWN_KEY_MESSAGES = [
+    ("spec", "spec", "spec: "),
+    ("spec", "family", "layer 1, family 1: "),
+    ("spec", "procedure", "layer 1, family 1: procedure: "),
+    ("spec", "transition", "transition 1: "),
+    ("graph", "graph", "graph: "),
+    ("config", "config", "config: "),
+    ("config", "model", "model: "),
+    ("config", "spec", "spec: "),
+    ("report", "report", "report: "),
+    ("report", "outcome", "outcome 1: "),
+    ("report", "transfer", "outcome 1: transfer: "),
+]
+
+
+@pytest.mark.parametrize("fmt, name, prefix", UNKNOWN_KEY_MESSAGES)
+def test_unknown_key_is_refused(fmt, name, prefix):
+    obj = json.loads(DOCUMENTS[fmt])
+    target = (_path("spec", obj[0]["spec"]) if fmt == "config" and name == "spec"
+              else _path(fmt, obj))[name]
+    target["zeta"] = 1
+    target["beta"] = 2  # the first unknown key in sorted order is named
+    with pytest.raises(gk.SpecFormatError, match=f"^{prefix}unknown key 'beta'$"):
+        PARSE[fmt](json.dumps(obj))
+
+
+def test_misspelt_optional_keys_no_longer_change_the_strategy(tmp_path, capsys):
+    from gatekeep import cli
+
+    obj = json.loads(DOCUMENTS["spec"])
+    obj["layers"][0][0]["procedure"] = {"kind": "holm", "weight": [0.9, 0.1]}
+    with pytest.raises(gk.SpecFormatError, match="procedure: unknown key 'weight'$"):
+        gk.spec_from_json(json.dumps(obj))
+    obj = json.loads(DOCUMENTS["spec"])
+    obj["transition"] = obj.pop("transitions")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["validate", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == "error: spec: unknown key 'transition'\n"
+
+
+def test_label_maps_take_any_label():
+    report = json.loads(DOCUMENTS["report"])
+    report["decisions"]["H99"] = "S"
+    assert gk.report_from_json(json.dumps(report)).decisions["H99"] == "S"
+    config = json.loads(DOCUMENTS["config"])
+    config[0]["truth"]["H99"] = "true_null"
+    (parsed,) = mcsim.sim_configs_from_json(json.dumps(config), seed=1)
+    with pytest.raises(ValueError, match=r"extra \['H99'\]"):
+        mcsim.simulate_fwer(parsed)
+
+
+def test_fields_takes_only_the_keys_given():
+    assert jsontext.fields({"a": 1, "b": 2}, ("a",), "x", ("b", "c")) == {"a": 1, "b": 2}
+    assert jsontext.fields({"a": 1, "b": 2}, ("a",), "x", None) == {"a": 1, "b": 2}
+    with pytest.raises(gk.SpecFormatError, match="^x: unknown key 'b'$"):
+        jsontext.fields({"a": 1, "b": 2}, ("a",), "x")
+
+
+# ---------------------------------------------------------------------------
+# The config list is read one element at a time
+# ---------------------------------------------------------------------------
+
+CONFIG = DOCUMENTS["config"][1:-1]
+NAN_CONFIG = CONFIG.replace('"alpha": 0.05', '"alpha": NaN', 1)
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]", "[ ]", " \t[\n]\r\n", f"[{CONFIG}]", f"\n [ {CONFIG} ,\n{CONFIG}\t] \n",
+        f"[{CONFIG},{NAN_CONFIG}]", f"[{json.dumps(json.loads(CONFIG))}]",
+        # refused by json.loads
+        f"\ufeff[{CONFIG}]", f"[{CONFIG},]", f"[{CONFIG} {CONFIG}]", f"[{CONFIG}] x",
+        f"[{CONFIG}]]", f"[{CONFIG}", f"[{CONFIG},", "[", "[,]", f"[,{CONFIG}]",
+        f"[{CONFIG},,{CONFIG}]", f"[{CONFIG}]\x00", f"[{CONFIG[:-9]}]", f"[{DEEP}]",
+        "[" + '{"spec": ' * 50_000,
+    ],
+)
+def test_streamed_list_accepts_what_json_loads_accepts(text):
+    try:
+        elements = json.loads(text)
+    except (ValueError, RecursionError):
+        with pytest.raises(gk.SpecFormatError, match="^not valid JSON: "):
+            mcsim.sim_configs_from_json(text, seed=1)
+        return
+    got = mcsim.sim_configs_from_json(text, seed=1)
+    one_by_one = [mcsim.sim_configs_from_json(json.dumps(e), seed=1)[0] for e in elements]
+    assert [mcsim.sim_config_to_json(c) for c in got] == [
+        mcsim.sim_config_to_json(c) for c in one_by_one
+    ]
+
+
+def test_config_list_nested_near_the_decoder_limit_never_escapes():
+    # An element decoded on its own can nest one level deeper than in a
+    # whole-file decode; re-encoding its spec must not escape either.
+    import sys
+
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 160, limit + 10):
+        nested = "[" * depth + "]" * depth
+        text = f'[{{"spec": {{"alpha": 0.05, "layers": {nested}}}, "truth": {{}}, "reps": 1}}]'
+        try:
+            mcsim.sim_configs_from_json(text, seed=1)
+        except (gk.SpecFormatError, gk.InvalidSpecError):
+            pass
+
+
+def test_streamed_list_shares_specs():
+    first, second = mcsim.sim_configs_from_json(f"[{CONFIG}, {CONFIG}]", seed=1)
+    assert first.spec is second.spec
+
+
+def test_a_spec_differing_only_in_bool_for_int_is_parsed_again():
+    good = json.loads(CONFIG)
+    good["spec"]["alpha"] = 1
+    bad = json.loads(CONFIG)
+    bad["spec"]["alpha"] = True
+    with pytest.raises(gk.SpecFormatError, match="^alpha must be a number$"):
+        mcsim.sim_configs_from_json(json.dumps([good, bad]), seed=1)
+
+
+def test_parsing_a_long_config_list_holds_one_element_at_a_time():
+    import itertools
+    import tracemalloc
+
+    from conftest import parallel_split_spec, serial_chain_spec, three_layer_step_up_spec
+
+    model = {"kind": "independent_uniform", "rho": 0.0, "delta": 3.0}
+    configs = []
+    for spec in (three_layer_step_up_spec(), parallel_split_spec(), serial_chain_spec()):
+        spec_obj = json.loads(gk.spec_to_json(spec))
+        labels = spec.labels()
+        for bits in itertools.product((True, False), repeat=len(labels)):
+            truth = {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)}
+            configs.append({"spec": spec_obj, "truth": truth, "model": model, "reps": 1000})
+    text = json.dumps(configs)
+    del configs
+    tracemalloc.start()
+    try:
+        parsed = mcsim.sim_configs_from_json(text, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 1536
+    # The whole decoded list is about 8 MB.
+    assert peak <= 4e6
+
+
+CHARS = list(' \t\n\r[]{},:"0123456789.-eE') + ["\ufeff", "NaN", "true", "null", "x"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_config_list_text_never_escapes(data):
+    """Characters inserted, deleted or cut anywhere in a config list: only
+    SpecFormatError/InvalidSpecError escape, and text that json.loads
+    refuses is refused."""
+    text = f"[{CONFIG},\n{CONFIG}]"
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(("insert", "delete", "cut")))
+        if op == "insert":
+            text = text[:pos] + data.draw(st.sampled_from(CHARS)) + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos]
+    try:
+        json.loads(text)
+        valid = True
+    except ValueError:
+        valid = False
+    try:
+        mcsim.sim_configs_from_json(text, seed=1)
+    except (gk.SpecFormatError, gk.InvalidSpecError):
+        return
+    assert valid
+
+
+# ---------------------------------------------------------------------------
+# P-values are plain ASCII decimals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("0.5", 0.5), (" 0.25 ", 0.25), (".5", 0.5), ("1.", 1.0), ("+0.1", 0.1), ("-0", 0.0),
+     ("5e-3", 0.005), ("5E-3", 0.005), ("0.5e+0", 0.5), ("\u00a00.5\u2003", 0.5)],
+)
+def test_pvalue_decimals_accepted(field, value):
+    assert parse_pvalues(f"hypothesis,p\nH1,{field}\n") == {"H1": value}
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["0.0_3", "1_0e-1", "\u0660.\u0660\u0664", "\uff10.5", "nan", "NaN", "-nan", "inf",
+     "infinity", "-Infinity", "0x1", "1e", "e5", ".", "+", "", " ", "0.5.1", "1e5.0"],
+)
+def test_pvalue_non_decimals_refused(field):
+    with pytest.raises(gk.SpecFormatError, match=r"^row 2: p-value .* is not a number$"):
+        parse_pvalues(f"hypothesis,p\nH1,{field}\n")
