@@ -130,16 +130,17 @@ def _cmd_dot(args) -> int:
 def _cmd_simulate(args) -> int:
     # Imported here so that the other commands never load numpy; simulation
     # needs numpy only.
-    from .mcsim import sim_configs_from_json, sim_result_obj, sweep, sweep_to_csv
+    from .mcsim import _check_seed, sim_configs_from_json, sim_result_obj, sweep, sweep_to_csv
 
+    _check_seed(args.seed)  # once, not once per config
     configs = sim_configs_from_json(_read(args.config), seed=args.seed)
     configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
     results = sweep(configs)
     # One result is written as an object, several as a list, one at a time.
     if len(results) == 1:
-        sys.stdout.write(dumps(sim_result_obj(results[0]), 2))
+        sys.stdout.write(dumps(sim_result_obj(results[0])))
     else:
-        write_list(map(sim_result_obj, results), sys.stdout.write, 2)
+        write_list(map(sim_result_obj, results), sys.stdout.write)
     sys.stdout.write("\n")
     if args.csv:
         _write(args.csv, sweep_to_csv(configs, results))
@@ -153,7 +154,7 @@ def _cmd_oracle(args) -> int:
     graph = graph_from_json(_read(args.graph))
     pvalues = parse_pvalues(_read(args.pvalues))
     rejected = run_hypothesis_graph(graph, pvalues)
-    sys.stdout.write(dumps({"rejected": sorted(rejected)}, 2) + "\n")
+    sys.stdout.write(dumps({"rejected": sorted(rejected)}) + "\n")
     return 0
 
 

@@ -299,7 +299,7 @@ def report_to_json(report: TestReport) -> str:
         ],
         "decisions": dict(sorted(report.decisions.items())),
     }
-    return dumps(obj, 2)
+    return dumps(obj)
 
 
 def _transfer(obj) -> Transfer:

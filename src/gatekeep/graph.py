@@ -253,22 +253,28 @@ def format_float(x: float) -> str:
     return repr(x)
 
 
+def _quoted(text: str) -> str:
+    """`text` as a DOT quoted string, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(spec: GraphSpec) -> str:
     """Render the family graph as deterministic DOT text.
 
     One node per family labeled "name (alpha)", one edge per nonzero
-    coefficient labeled with its value. Identical specs produce identical
-    bytes. Raises InvalidSpecError if the spec does not validate.
+    coefficient labeled with its value; ids and labels are quoted by
+    `_quoted`. Identical specs produce identical bytes. Raises
+    InvalidSpecError if the spec does not validate.
     """
     plan = spec.plan
     lines = ["digraph families {", "  rankdir=LR;"]
     for fam in plan.families:
-        lines.append(
-            f'  "{fam.name}" [label="{fam.name} ({format_float(fam.initial_alpha)})"];'
-        )
+        label = f"{fam.name} ({format_float(fam.initial_alpha)})"
+        lines.append(f"  {_quoted(fam.name)} [label={_quoted(label)}];")
     for fam in plan.families:
         for dst, g in plan.edges[fam.name]:
-            lines.append(f'  "{fam.name}" -> "{dst}" [label="{format_float(g)}"];')
+            edge = f"{_quoted(fam.name)} -> {_quoted(dst)}"
+            lines.append(f"  {edge} [label={_quoted(format_float(g))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -323,7 +329,7 @@ def spec_to_json(spec: GraphSpec) -> str:
             {"from": src, "to": dst, "g": g} for (src, dst), g in _in_order(spec)
         ],
     }
-    return dumps(obj, 2)
+    return dumps(obj)
 
 
 def spec_from_json(text: str) -> GraphSpec:

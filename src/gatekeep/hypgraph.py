@@ -327,7 +327,7 @@ def graph_to_json(graph: HypothesisGraph) -> str:
         "transitions": [list(row) for row in graph.transitions],
         "epsilon_edges": sorted([j, k] for j, k in graph.epsilon_edges),
     }
-    return dumps(obj, 2)
+    return dumps(obj)
 
 
 def _reject_constant(name: str):

@@ -10,9 +10,10 @@ neither a number nor an integer. Checks of meaning (a known kind, a
 duplicate edge, a value in range) stay with each format.
 
 `json.dumps` with an indent cannot use its C encoder. `dumps` writes the
-same bytes in about half the time, appending to one list and encoding
-leaves as json does. Object keys must be strings (json would also take
-numbers, booleans and None).
+same bytes at indent 2, the one indent every writer uses, in about half
+the time, appending to one list and encoding leaves as json does.
+Object keys must be strings (json would also take numbers, booleans and
+None).
 """
 
 from __future__ import annotations
@@ -108,24 +109,24 @@ def _float(x: float) -> str:
     return "NaN" if x != x else _INFINITIES.get(x) or float.__repr__(x)
 
 
-def dumps(obj, indent: int | None = None) -> str:
-    """`json.dumps(obj, indent=indent, sort_keys=True)`, the same text."""
-    if indent is None:
-        return json.dumps(obj, sort_keys=True)
+_STEP = "  "  # one level of indent
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, the same text."""
     out: list[str] = []
-    _encode(obj, "\n", " " * indent, out)
+    _encode(obj, "\n", out)
     return "".join(out)
 
 
-def write_list(items, write, indent: int) -> None:
-    """`write(dumps(list(items), indent))` in pieces, one per item, so that
-    only one item and its text are held at a time."""
-    step = " " * indent
-    inner = "\n" + step
+def write_list(items, write) -> None:
+    """`write(dumps(list(items)))` in pieces, one per item, so that only
+    one item and its text are held at a time."""
+    inner = "\n" + _STEP
     sep = "[" + inner
     for item in items:
         out = [sep]
-        _encode(item, inner, step, out)
+        _encode(item, inner, out)
         write("".join(out))
         sep = "," + inner
     write("[]" if sep[0] == "[" else "\n]")
@@ -142,13 +143,13 @@ _LEAVES = (
 _LEAF = dict(_LEAVES)  # by exact type: the fast path inside containers
 
 
-def _encode(obj, newline: str, step: str, out: list[str]) -> None:
+def _encode(obj, newline: str, out: list[str]) -> None:
     """Append the text of `obj`, whose own line starts after `newline`."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        inner = newline + step
+        inner = newline + _STEP
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             leaf = _LEAF.get(type(value))  # _quote raises TypeError on a non-str key
@@ -156,14 +157,14 @@ def _encode(obj, newline: str, step: str, out: list[str]) -> None:
                 out.append(sep + _quote(key) + ": " + leaf(value))
             else:
                 out.append(sep + _quote(key) + ": ")
-                _encode(value, inner, step, out)
+                _encode(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner = newline + step
+        inner = newline + _STEP
         sep = "[" + inner
         for item in obj:
             leaf = _LEAF.get(type(item))
@@ -171,7 +172,7 @@ def _encode(obj, newline: str, step: str, out: list[str]) -> None:
                 out.append(sep + leaf(item))
             else:
                 out.append(sep)
-                _encode(item, inner, step, out)
+                _encode(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:

@@ -8,11 +8,12 @@ below the global level (up to noise) for every truth assignment.
 
 Reproducibility contract: replicate r draws from a counter-based stream
 keyed by (seed, r), so results are bit-identical for a given config no
-matter how replicates are scheduled or batched. Replicates are evaluated
-in blocks of `_BLOCK` rows and only counts are kept across blocks, so
-memory does not grow with reps: it is the block times the number of
-distinct score matrices and p-value columns a sweep needs. A config list is parsed one
-element at a time, so only one element's JSON tree is held.
+matter how replicates are scheduled or batched. Configs that share a draw
+(seed, reps, model, hypothesis count) run together, one draw after
+another and one block of `_BLOCK` rows at a time, and only counts are kept
+across blocks. So memory holds one block of one draw, however many reps
+and however many draws a sweep has. A config list is parsed one element
+at a time, so only one element's JSON tree is held.
 
 P-value generation: every hypothesis gets a standard normal score; under
 the equicorrelated model the scores share a common factor with correlation
@@ -85,9 +86,11 @@ class SimResult:
     seed: int
 
 
-def _check_config(config: SimConfig, labels: frozenset[str]) -> None:
-    """Check everything but the spec itself (`GraphSpec.plan` checks that);
-    `labels` are the spec's labels."""
+def _check_config(config: SimConfig, scores: np.ndarray | None = None) -> tuple:
+    """Check everything but the spec itself (`GraphSpec.plan` checks that),
+    then `scores`, the whole score matrix of a lone config, if given.
+    Returns the config's draw: the arguments of its `draw_scores` call."""
+    labels = config.spec.plan.labels
     missing = sorted(labels - set(config.truth))
     extra = sorted(set(config.truth) - labels)
     if missing or extra:
@@ -107,10 +110,19 @@ def _check_config(config: SimConfig, labels: frozenset[str]) -> None:
         raise ValueError("rho only applies to equicorrelated_normal")
     if not (math.isfinite(m.delta) and m.delta >= 0.0):
         raise ValueError(f"delta {m.delta!r} must be finite and nonnegative")
-    if config.reps < 1:
-        raise ValueError(f"reps {config.reps!r} must be at least 1")
-    if not 0 <= config.seed < 1 << 64:
-        raise ValueError(f"seed {config.seed!r} outside [0, 2**64)")
+    if not isinstance(config.reps, int) or config.reps < 1:
+        raise ValueError(f"reps {config.reps!r} must be an integer, at least 1")
+    _check_seed(config.seed)
+    if scores is not None and scores.shape != (config.reps, len(labels)):
+        raise ValueError(f"score matrix shape {scores.shape} != ({config.reps}, {len(labels)})")
+    return config.seed, config.reps, len(labels), m.kind, m.rho
+
+
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int):
+        raise ValueError(f"seed {seed!r} must be an integer")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed!r} outside [0, 2**64)")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,8 @@ def simulate_fwer(config: SimConfig, _scores: np.ndarray | None = None) -> SimRe
 
     With no true nulls the estimate is exactly 0. `_scores` lets callers
     reuse one score matrix across truth assignments sharing a seed/model;
-    it must come from :func:`draw_scores` with this config's parameters.
+    it must come from :func:`draw_scores` with this config's parameters,
+    and is read one block of rows at a time.
     """
     results, errors = _run([config], _scores)
     if errors:
@@ -254,15 +267,15 @@ def simulate_fwer(config: SimConfig, _scores: np.ndarray | None = None) -> SimRe
 def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     """simulate_fwer for each config, in order.
 
-    Replicates run in blocks of `_BLOCK` rows: every config's first block,
-    then every second block, and so on, and each config's counts are added
-    up over its blocks. Within each block of rows, work is shared across
-    the configs of one call: score matrices across configs that agree on
-    (seed, reps, model, hypothesis count), a column's p-values across those
-    that also agree on its shift (delta for a false null, none for a true
-    null), and a family's outcome across consecutive configs that agree on
-    its own truth bits and its sources' outcomes. Results equal
-    simulate_fwer's.
+    Configs that agree on (seed, reps, model, hypothesis count) share one
+    draw of scores. Draws run one after another, in order of their first
+    config, and each draw runs in blocks of `_BLOCK` rows over all of its
+    configs; each config's counts are added up over the blocks. Within a
+    block, a column's p-values are shared across the draw's configs that
+    agree on its shift (delta for a false null, 0 for a true null), and a
+    family's outcome across the spec's consecutive configs in the draw that
+    agree on its own truth bits and its sources' outcomes. Only one block of
+    one draw is held at a time. Results equal simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
     """
@@ -277,130 +290,84 @@ def _run(
 ) -> tuple[dict[int, SimResult], list[tuple[int, Exception]]]:
     """Results by index, and (index, error) pairs in config order.
 
-    A config that fails in one block is left out of the later ones.
+    Every config is checked first; a failing one is left out. The others
+    are grouped by draw (the arguments of their `draw_scores` call), and
+    each draw runs one block of rows at a time over all of its configs.
     """
-    errors: dict[int, Exception] = {}
-    # index -> (true-null hit rows, rejections per column) over its blocks so far
-    totals: dict[int, tuple[int, list[int]]] = {}
-    live = range(len(configs))
-    start = 0
-    while live:
-        sim = _Simulator(start, scores)
-        for i in live:
-            try:
-                hits, counts = sim.simulate(configs[i])
-            except Exception as exc:  # noqa: BLE001 - per-element isolation
-                errors[i] = exc
-                totals.pop(i, None)
-                continue
-            if i in totals:
-                hits += totals[i][0]
-                counts = [a + b for a, b in zip(totals[i][1], counts)]
-            totals[i] = (hits, counts)
-        start += _BLOCK
-        live = [i for i in totals if configs[i].reps > start]
+    errors = []
+    draws: dict[tuple, list[int]] = {}  # draw -> its configs' indices, in order
+    for i, config in enumerate(configs):
+        try:
+            draws.setdefault(_check_config(config, scores), []).append(i)
+        except Exception as exc:  # noqa: BLE001 - per-element isolation
+            errors.append((i, exc))
     results = {}
-    for i, (hits, counts) in totals.items():
-        config = configs[i]
-        fwer_hat = hits / config.reps
-        results[i] = SimResult(
-            fwer_hat=fwer_hat,
-            se=math.sqrt(fwer_hat * (1.0 - fwer_hat) / config.reps),
-            rejections_per_hypothesis=dict(zip(config.spec.labels(), counts)),
-            reps=config.reps,
-            seed=config.seed,
+    for draw, members in draws.items():
+        # Each block is added in and dropped before the next is drawn.
+        totals = sum(
+            _block(configs, members, draw, start, scores) for start in range(0, draw[1], _BLOCK)
         )
-    return results, sorted(errors.items())
+        for i, (hits, *counts) in zip(members, totals.tolist()):
+            config = configs[i]
+            fwer_hat = hits / config.reps
+            results[i] = SimResult(
+                fwer_hat=fwer_hat,
+                se=math.sqrt(fwer_hat * (1.0 - fwer_hat) / config.reps),
+                rejections_per_hypothesis=dict(zip(config.spec.labels(), counts)),
+                reps=config.reps,
+                seed=config.seed,
+            )
+    return dict(sorted(results.items())), errors
 
 
-def _score_key(config: SimConfig, n: int) -> tuple:
-    """The arguments of the config's `draw_scores` call."""
-    m = config.model
-    return (config.seed, config.reps, n, m.kind, m.rho)
+def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.ndarray:
+    """One row per member config: the rows of block `start` of their shared
+    `draw` that rejected a true null, then its rejections per column (spec
+    label order).
 
-
-class _Simulator:
-    """The caches one block of rows shares across the configs of a
-    simulate_fwer or sweep call.
-
-    It holds rows `start`, ..., `start + _BLOCK - 1` of each config (fewer
-    where reps ends sooner) and evicts nothing, so its memory is one block
-    per distinct score key (seed, reps, model) plus one block-long column
-    per distinct (score key, column, delta): it grows with those keys, not
-    with reps. Specs
-    are keyed by identity (`sim_configs_from_json` builds each distinct
-    spec once). P-values are mapped one column at a time, when a family
-    first needs them. The family memo keeps only the last outcome of each
-    family, keyed on its own columns' inputs and its sources' outcome
-    objects: it is retested exactly when its truth bits or those upstream
-    change. That gets all the sharing there is for masks in
-    `itertools.product` order; keeping every outcome would cost memory.
-    `scores`, if given, is the whole score matrix of a lone config.
+    The block's scores are drawn once (or sliced from `given`, the whole
+    score matrix of a lone config). A column's p-values are mapped once per
+    shift (delta for a false null, 0 for a true null), when a family first
+    needs them. Each spec keeps the last outcome of each family, keyed on
+    its own columns' inputs and its sources' outcome objects: it is retested
+    exactly when its truth bits or those upstream change. That gets all the
+    sharing there is for masks in `itertools.product` order; keeping every
+    outcome would cost memory. Everything is dropped on return.
     """
-
-    def __init__(self, start: int, scores: np.ndarray | None = None) -> None:
-        self.start = start
-        self.given = scores
-        self.scores: dict[tuple, np.ndarray] = {}
-        # (score key, column, delta, or None for a true null) -> p-values
-        self.pcols: dict[tuple, np.ndarray] = {}
-        # id(spec) -> (spec, its labels, its columns, family memo)
-        self.specs: dict[int, tuple] = {}
-
-    def simulate(self, config: SimConfig) -> tuple[int, list[int]]:
-        """The block's rows that rejected a true null, and its rejections
-        per column (spec label order)."""
-        spec = config.spec
-        if id(spec) not in self.specs:
-            self.specs[id(spec)] = (spec, spec.labels(), _columns(spec.plan), {})
-        _, labels, layout, memo = self.specs[id(spec)]
-        _check_config(config, spec.plan.labels)
-        score_key = _score_key(config, len(labels))
-        scores = self.scores.get(score_key)
-        if scores is None:
-            stop = min(config.reps, self.start + _BLOCK)
-            if self.given is None:
-                m = config.model
-                scores = draw_scores(
-                    config.seed, stop - self.start, len(labels), m.kind, m.rho, self.start
-                )
-            elif self.given.shape != (config.reps, len(labels)):
-                raise ValueError(
-                    f"score matrix shape {self.given.shape} != ({config.reps}, {len(labels)})"
-                )
-            else:
-                scores = self.given[self.start:stop]
-            self.scores[score_key] = scores
-        delta = config.model.delta
-        false_mask = np.array([config.truth[label] == FALSE_NULL for label in labels])
+    seed, reps, n, kind, rho = draw
+    stop = min(reps, start + _BLOCK)
+    if given is None:
+        scores = draw_scores(seed, stop - start, n, kind, rho, start)
+    else:
+        scores = given[start:stop]
+    pcols: dict[tuple, np.ndarray] = {}  # (column, shift) -> p-values
+    memos: dict[int, dict] = {}  # id(spec) -> its family memo
+    out = np.empty((len(members), n + 1), dtype=np.int64)
+    for row, i in zip(out, members):
+        config = configs[i]
+        spec, delta = config.spec, config.model.delta
+        false_mask = np.array([config.truth[label] == FALSE_NULL for label in spec.labels()])
+        # A false null's score is shifted by delta; -(s + 0.0) maps as -s does.
+        shift = np.where(false_mask, delta, 0.0)
 
         def p_of(cols: slice) -> np.ndarray:
-            columns = []
             for j in range(cols.start, cols.stop):
-                # A false null's score is shifted by delta; a true null's is not.
-                key = (score_key, j, delta if false_mask[j] else None)
-                if key not in self.pcols:
-                    s = scores[:, j]
-                    self.pcols[key] = ndtr(-(s + delta) if false_mask[j] else -s)
-                columns.append(self.pcols[key])
-            return np.column_stack(columns)
+                if (j, shift[j]) not in pcols:
+                    pcols[j, shift[j]] = ndtr(-(scores[:, j] + shift[j]))
+            return np.column_stack([pcols[j, shift[j]] for j in range(cols.start, cols.stop)])
 
-        p_key = score_key + (delta,)
         outcomes = _evaluate(
             spec.plan,
-            layout,
+            _columns(spec.plan),
             p_of,
-            memo,
-            lambda cols: (p_key, false_mask[cols].tobytes()),
+            memos.setdefault(id(spec), {}),
+            lambda cols: (delta, false_mask[cols].tobytes()),
             ~false_mask,
         ).values()
-
-        hit = None  # rows that rejected some true null
-        for outcome in outcomes:
-            if outcome.hit is not None:
-                hit = outcome.hit if hit is None else hit | outcome.hit
-        hits = 0 if hit is None else int(np.count_nonzero(hit))
-        return hits, [c for outcome in outcomes for c in outcome.counts]
+        hits = [outcome.hit for outcome in outcomes if outcome.hit is not None]
+        row[0] = np.count_nonzero(np.logical_or.reduce(hits))  # rows that rejected a true null
+        row[1:] = [c for outcome in outcomes for c in outcome.counts]
+    return out
 
 
 def truth_mask(config: SimConfig) -> str:
@@ -588,7 +555,7 @@ def sim_config_to_json(config: SimConfig) -> str:
         "reps": config.reps,
         "seed": config.seed,
     }
-    return dumps(obj, 2)
+    return dumps(obj)
 
 
 def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimConfig:
@@ -677,4 +644,4 @@ def sim_result_obj(result: SimResult) -> dict:
 
 
 def sim_result_to_json(result: SimResult) -> str:
-    return dumps(sim_result_obj(result), 2)
+    return dumps(sim_result_obj(result))

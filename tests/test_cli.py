@@ -279,6 +279,13 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"seed {seed} outside" in err
 
+    def test_bad_seed_is_reported_once_for_a_config_list(self, tmp_path, capsys):
+        path = self.config_file(tmp_path)
+        obj = json.loads((tmp_path / "config.json").read_text())
+        (tmp_path / "config.json").write_text(json.dumps([obj] * 50))
+        assert cli.main(["simulate", "--config", path, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed -1 outside [0, 2**64)\n"
+
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_stdout_is_one_indented_document(self, tmp_path, capsys, count):
         # A list is written one result at a time, in json.dumps's bytes;

@@ -180,6 +180,41 @@ class TestDot:
         with pytest.raises(gk.InvalidSpecError):
             gk.to_dot(spec)
 
+    def test_names_with_quotes_and_backslashes_stay_quoted(self):
+        import re
+
+        names = ['F"1', "F\\2", "F3\\"]
+        spec = gk.make_spec(
+            0.05,
+            [[(names[0], ["H1"], 0.05, proc.bonferroni())],
+             [(names[1], ["H2"], 0.0, proc.bonferroni())],
+             [(names[2], ["H3"], 0.0, proc.bonferroni())]],
+            {(names[0], names[1]): 1.0, (names[1], names[2]): 1.0},
+        )
+        text = gk.to_dot(spec)
+        quoted = r'"((?:[^"\\]|\\.)*)"'  # a quoted string; a backslash escapes one character
+        node = re.compile(rf"  {quoted} \[label={quoted}\];")
+        edge = re.compile(rf"  {quoted} -> {quoted} \[label={quoted}\];")
+
+        def unescape(s):
+            return re.sub(r"\\(.)", r"\1", s)
+
+        lines = text.splitlines()[2:-1]
+        nodes = [node.fullmatch(line) for line in lines[:3]]
+        edges = [edge.fullmatch(line) for line in lines[3:]]
+        assert all(nodes) and all(edges) and len(edges) == 2
+        assert [unescape(m[1]) for m in nodes] == names
+        assert unescape(nodes[2][2]) == names[2] + " (0)"
+        assert [(unescape(m[1]), unescape(m[2])) for m in edges] == [
+            (names[0], names[1]), (names[1], names[2])
+        ]
+
+    def test_plain_names_keep_their_bytes(self):
+        assert gk.to_dot(chain_spec()).splitlines()[2:4] == [
+            '  "F1" [label="F1 (0.05)"];',
+            '  "F2" [label="F2 (0)"];',
+        ]
+
 
 class TestJson:
     def test_round_trip_structural_equality(self, rng):

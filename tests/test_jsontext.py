@@ -33,31 +33,33 @@ trees = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(trees, st.sampled_from([None, 0, 1, 2, 4]))
-def test_same_text_as_json_dumps(obj, indent):
-    assert dumps(obj, indent) == json.dumps(obj, indent=indent, sort_keys=True)
+@given(trees)
+def test_same_text_as_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("obj", [[], {}, [[]], {"a": {}}, {"é": ["ü", {}]}, [0.1, -0.0, 10**30]])
-@pytest.mark.parametrize("indent", [0, 1, 2])
-def test_edge_shapes(obj, indent):
-    assert dumps(obj, indent) == json.dumps(obj, indent=indent, sort_keys=True)
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_edge_shapes(obj, depth):
+    for _ in range(depth):  # in a list in an object: two more levels of indent
+        obj = {"x": [obj, 1]}
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(trees, max_size=6), st.sampled_from([0, 1, 2, 4]))
-def test_list_written_one_item_at_a_time(items, indent):
+@given(st.lists(trees, max_size=6))
+def test_list_written_one_item_at_a_time(items):
     pieces = []
-    write_list(iter(items), pieces.append, indent)
-    assert "".join(pieces) == json.dumps(items, indent=indent, sort_keys=True)
+    write_list(iter(items), pieces.append)
+    assert "".join(pieces) == json.dumps(items, indent=2, sort_keys=True)
     assert len(pieces) == max(len(items), 1) + bool(items)
 
 
 def test_unserializable_values_and_keys_raise():
     with pytest.raises(TypeError):
-        dumps({"a": object()}, 2)
+        dumps({"a": object()})
     with pytest.raises(TypeError):
-        dumps({1: "a"}, 2)
+        dumps({1: "a"})
 
 
 def test_every_writer_keeps_its_bytes():

@@ -502,12 +502,13 @@ class TestBlocks:
     @staticmethod
     def mixed_configs(block):
         # Shuffled specs, truths, models and seeds, with reps spanning one,
-        # two and three blocks of `block` rows.
+        # two and three blocks of `block` rows. The first two models share
+        # their draws and differ in delta.
         import itertools
         import random
 
         specs = [three_layer_step_up_spec(), parallel_split_spec()]
-        models = [PValueModel(delta=2.5),
+        models = [PValueModel(delta=2.5), PValueModel(delta=3.0),
                   PValueModel("equicorrelated_normal", rho=0.4, delta=3.0)]
         configs = []
         for spec, model, reps, seed in itertools.product(
@@ -527,10 +528,44 @@ class TestBlocks:
     def test_mixed_sweep_does_not_depend_on_the_block(self, monkeypatch, block):
         configs = self.mixed_configs(block)
         assert max(c.reps for c in configs) > 2 * block
+        # Most neighbours belong to different draws (seed, reps, model).
+        draws = [(c.seed, c.reps, c.model.kind, c.model.rho) for c in configs]
+        assert sum(a != b for a, b in zip(draws, draws[1:])) > len(configs) // 2
         whole = mcsim.sweep(configs)  # every config in one block
         monkeypatch.setattr(mcsim, "_BLOCK", block)
         assert mcsim.sweep(configs) == whole
-        assert [mcsim.simulate_fwer(c) for c in configs[:6]] == whole[:6]
+        assert [mcsim.simulate_fwer(c) for c in configs] == whole
+
+    @pytest.mark.parametrize("field", ["reps", "seed"])
+    def test_float_reps_or_seed_fails_alone(self, monkeypatch, field):
+        # Checked with the rest of the config, not when its blocks are drawn.
+        monkeypatch.setattr(mcsim, "_BLOCK", 7)
+        good = small_config(reps=20)
+        with pytest.raises(SweepError) as info:
+            mcsim.sweep([good, dataclasses.replace(good, **{field: 20.0}), good])
+        [(index, error)] = info.value.errors
+        assert index == 1 and type(error) is ValueError
+        assert str(error).startswith(f"{field} 20.0 must be an integer")
+        assert info.value.results == {0: mcsim.simulate_fwer(good), 2: mcsim.simulate_fwer(good)}
+
+    def test_sweep_memory_holds_one_block_of_one_draw(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(mcsim, "_BLOCK", 1000)
+        spec = three_layer_step_up_spec()
+        truth = {label: "true_null" if k % 3 else "false_null"
+                 for k, label in enumerate(spec.labels())}
+        model = PValueModel("equicorrelated_normal", rho=0.4, delta=3.0)
+        configs = [SimConfig(spec, truth, model, 2500, seed) for seed in range(40)]
+        tracemalloc.start()
+        try:
+            mcsim.sweep(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 1000-row block peaks well under 1 MB; a block of every seed at
+        # once, about 6 MB.
+        assert peak <= 2e6
 
     @pytest.mark.parametrize("block", [7, 1000])
     @pytest.mark.parametrize(
