@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import re
 import sys
@@ -128,8 +127,9 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # Imported here so that the other commands never load numpy; simulation
-    # needs numpy only.
+    # Imported here so that the other commands load neither numpy nor dataclasses.
+    import dataclasses
+
     from .mcsim import _check_seed, sim_configs_from_json, sim_result_obj, sweep, sweep_to_csv
 
     _check_seed(args.seed)  # once, not once per config

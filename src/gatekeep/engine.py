@@ -18,8 +18,7 @@ and resolved once per spec object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
@@ -29,16 +28,14 @@ from .procedures import Kernel
 REPLAY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """Critical value passed to one later family after a test."""
 
     target: str
     amount: float
 
 
-@dataclass(frozen=True)
-class FamilyOutcome:
+class FamilyOutcome(NamedTuple):
     """Audit record for one tested family."""
 
     family: str
@@ -49,8 +46,7 @@ class FamilyOutcome:
     transfers: tuple[Transfer, ...]
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """Per-family outcomes in execution order plus the global decision map.
 
     `decisions` maps every hypothesis label to "S" (significant) or "NS".
@@ -60,8 +56,7 @@ class TestReport:
     decisions: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class ExecutionState:
+class ExecutionState(NamedTuple):
     """Snapshot between steps: untested families, current levels, live edges."""
 
     remaining: tuple[frozenset[str], ...]
@@ -71,9 +66,7 @@ class ExecutionState:
 
 def initial_state(spec: GraphSpec) -> ExecutionState:
     return ExecutionState(
-        remaining=tuple(
-            frozenset(fam.name for fam in layer) for layer in spec.layers
-        ),
+        remaining=tuple(frozenset(fam.name for fam in layer) for layer in spec.layers),
         current_alpha={fam.name: fam.initial_alpha for fam in spec.families()},
         current_g=dict(spec.transitions.entries),
     )
@@ -154,9 +147,7 @@ def step(
     new_alpha = dict(state.current_alpha)
     for t in outcome.transfers:
         new_alpha[t.target] += t.amount
-    new_g = {
-        edge: g for edge, g in state.current_g.items() if edge[0] != family
-    }
+    new_g = {edge: g for edge, g in state.current_g.items() if edge[0] != family}
     new_remaining = tuple(
         layer - {family} if i == layer_idx else layer
         for i, layer in enumerate(state.remaining)

@@ -18,10 +18,9 @@ literals (0.8 + 0.2) validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSpecError, SpecFormatError
 from .jsontext import dumps, fields, list_of, loads, number, numbers, string
@@ -30,8 +29,7 @@ from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure
 SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A family of hypotheses with its local procedure and initial level."""
 
     name: str
@@ -44,8 +42,11 @@ class FamilySpec:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class TransitionCoefficients:
+class _Entries(NamedTuple):
+    entries: Mapping[tuple[str, str], float]
+
+
+class TransitionCoefficients(_Entries):
     """Sparse map from (source name, target name) to coefficient; absent
     means 0.
 
@@ -53,10 +54,14 @@ class TransitionCoefficients:
     a spec's cached plan cannot go stale.
     """
 
-    entries: Mapping[tuple[str, str], float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __new__(cls, entries: Mapping[tuple[str, str], float]):
+        return super().__new__(cls, MappingProxyType(dict(entries)))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it; tuple.__new__ would skip the copy
+        return cls(*iterable)
 
     def __reduce__(self):
         return TransitionCoefficients, (dict(self.entries),)
@@ -65,8 +70,7 @@ class TransitionCoefficients:
         return self.entries.items()
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """A validated spec resolved for execution; see `GraphSpec.plan`."""
 
     families: tuple[FamilySpec, ...]  # execution order
@@ -80,13 +84,23 @@ class Plan:
     sources: Mapping[str, tuple[tuple[str, float], ...]]
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """A complete strategy: global level, layered families, transitions."""
-
+class _GraphSpec(NamedTuple):
     global_alpha: float
     layers: tuple[tuple[FamilySpec, ...], ...]
     transitions: TransitionCoefficients
+
+
+class GraphSpec(_GraphSpec):
+    """A complete strategy: global level, layered families, transitions.
+
+    Its `__dict__` holds the cached `plan` only; copies and pickles leave it out.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: GraphSpec is read-only")
+
+    def __reduce__(self):
+        return GraphSpec, tuple(self)
 
     def families(self) -> Iterator[FamilySpec]:
         """All families in execution order (layer by layer, declared order)."""
@@ -137,8 +151,7 @@ def _in_order(spec: GraphSpec) -> list[tuple[tuple[str, str], float]]:
     )
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
+class ValidationOutcome(NamedTuple):
     """Result of a structural check: ok, or the full list of violations."""
 
     violations: tuple[str, ...] = ()

@@ -19,8 +19,7 @@ whose eps part is positive rejects only p = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidSpecError, SpecFormatError
 from .graph import GraphSpec, SUM_TOL, ValidationOutcome, make_spec
@@ -52,8 +51,7 @@ def _div(num: Dual, den: Dual) -> Dual:
     return (0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class HypothesisGraph:
+class HypothesisGraph(NamedTuple):
     """Weighted directed graph over individual hypotheses.
 
     `transitions[j][k]` is the coefficient from hypothesis j to k; when

@@ -13,7 +13,8 @@ duplicate edge, a value in range) stay with each format.
 same bytes at indent 2, the one indent every writer uses, in about half
 the time, appending to one list and encoding leaves as json does.
 Object keys must be strings (json would also take numbers, booleans and
-None).
+None), and arrays exact lists or tuples: json would write a record (a
+NamedTuple) as an array, `dumps` refuses it like any other object.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _encode(obj, newline: str, out: list[str]) -> None:
                 _encode(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) is list or type(obj) is tuple:  # not a record (see above)
         if not obj:
             out.append("[]")
             return

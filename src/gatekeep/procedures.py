@@ -23,8 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 KINDS = (
     "bonferroni",
@@ -41,8 +40,7 @@ _WEIGHTED = {"bonferroni", "holm"}
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LocalProcedureSpec:
+class LocalProcedureSpec(NamedTuple):
     """Which single-family procedure to run, with its parameters.
 
     gamma     truncation parameter in [0, 1), truncated kinds only.
@@ -131,8 +129,7 @@ def check_procedure(
     return problems
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     """A procedure resolved for one family of `n` hypotheses, with its
     threshold and e* formulas written as plain arithmetic: `level` may be a
     float or a numpy column of levels (one per replicate), and the other
@@ -262,8 +259,7 @@ _DRIVERS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyTestInput:
+class FamilyTestInput(NamedTuple):
     """One family's p-values (in family order) and its local critical value.
 
     `labels` gives the hypothesis label for each p-value; it is required

@@ -325,7 +325,8 @@ class TestConsoleScript:
         assert done.stdout.strip() == "ok"
 
     def test_decision_commands_do_not_load_numpy_or_scipy(self, files, tmp_path):
-        # ...and simulate loads numpy but not scipy.
+        # ...nor dataclasses and inspect, which `import gatekeep` skips too;
+        # and simulate loads numpy but not scipy.
         import subprocess
         import sys
 
@@ -345,6 +346,8 @@ class TestConsoleScript:
         script = (
             "import contextlib, io, json, sys\n"
             "import gatekeep\n"
+            "slow = ('dataclasses', 'inspect')\n"
+            "loaded = [[m for m in slow if m in sys.modules]]\n"
             "from gatekeep import cli\n"
             "codes, oracle = [], []\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -352,13 +355,14 @@ class TestConsoleScript:
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        codes.append(cli.main(argv))\n"
             "    oracle.append('gatekeep.hypgraph' in sys.modules)\n"
+            "    loaded.append([m for m in slow if m in sys.modules])\n"
             "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
             "lazy = gatekeep.batch_run is gatekeep.mcsim.batch_run\n"
             "lazy = lazy and gatekeep.run_hypothesis_graph is gatekeep.hypgraph.run_hypothesis_graph\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes.append(cli.main(json.loads(sys.argv[2])))\n"
             "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(json.dumps([codes, heavy, lazy, scipy, oracle]))\n"
+            "print(json.dumps([codes, heavy, lazy, scipy, oracle, loaded]))\n"
         )
         simulate = ["simulate", "--config", config_path, "--seed", "3"]
         done = subprocess.run(
@@ -367,9 +371,11 @@ class TestConsoleScript:
             text=True,
         )
         assert done.returncode == 0, done.stderr
-        codes, heavy, lazy, scipy, oracle = json.loads(done.stdout)
+        codes, heavy, lazy, scipy, oracle, loaded = json.loads(done.stdout)
         assert codes == [0, 0, 0, 0, 0]
         assert heavy == []
+        # after `import gatekeep`, then after each decision command
+        assert loaded == [[]] * 5
         assert lazy
         assert scipy == []
         # only the oracle command loads the oracle module

@@ -1,6 +1,5 @@
 """Engine behavior: update rules, audit trail, invariants, reductions."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -153,15 +152,14 @@ class TestStep:
 
     def test_unknown_edge_target_named(self):
         spec = two_layer_fixed_sequence_spec()
-        state = dataclasses.replace(initial_state(spec), current_g={("F1", "F9"): 1.0})
+        state = initial_state(spec)._replace(current_g={("F1", "F9"): 1.0})
         with pytest.raises(ValueError, match="'F1' -> 'F9'"):
             step(spec, state, "F1", TABLE_PVALUES)
 
     def test_edge_to_family_outside_the_spec_named(self):
         # F9 is listed as untested but the spec has no such family.
         spec = two_layer_fixed_sequence_spec()
-        state = dataclasses.replace(
-            initial_state(spec),
+        state = initial_state(spec)._replace(
             remaining=(frozenset({"F1"}), frozenset({"F2", "F3", "F9"})),
             current_g={("F1", "F9"): 1.0},
         )
@@ -172,7 +170,7 @@ class TestStep:
         spec = two_layer_fixed_sequence_spec()
         pvalues = {label: 0.001 for label in TABLE_PVALUES}
         _, state = step(spec, initial_state(spec), "F1", pvalues)
-        return spec, dataclasses.replace(state, current_g=edges), pvalues
+        return spec, state._replace(current_g=edges), pvalues
 
     def test_back_edge_to_tested_family_rejected(self):
         # F1 is tested; a live F2 -> F1 edge would hand F1 level it never spends.
@@ -396,9 +394,7 @@ class TestReplay:
         for o in report.outcomes:
             if o.family == "F2":
                 t = o.transfers[0]
-                o = dataclasses.replace(
-                    o, transfers=(gk.Transfer(t.target, t.amount + 1e-6),)
-                )
+                o = o._replace(transfers=(gk.Transfer(t.target, t.amount + 1e-6),))
             tampered_outcomes.append(o)
         tampered = gk.TestReport(tuple(tampered_outcomes), report.decisions)
         outcome = replay(tampered, spec)
@@ -409,7 +405,7 @@ class TestReplay:
         spec = two_layer_fixed_sequence_spec()
         report = gk.run(spec, TABLE_PVALUES)
         tampered_outcomes = [
-            dataclasses.replace(o, level_used=o.level_used + 1e-6)
+            o._replace(level_used=o.level_used + 1e-6)
             if o.family == "F2" else o
             for o in report.outcomes
         ]
@@ -484,7 +480,7 @@ class TestReplay:
         report = gk.run(spec, TABLE_PVALUES)
         f1, f2, f3 = report.outcomes
         assert f1.rejected == set(spec.layers[0][0].labels)
-        f1 = dataclasses.replace(f1, accepted=f1.rejected)
+        f1 = f1._replace(accepted=f1.rejected)
         with pytest.raises(ValueError, match="do not partition"):
             replay(gk.TestReport((f1, f2, f3), report.decisions), spec)
 
@@ -492,7 +488,7 @@ class TestReplay:
         spec = two_layer_fixed_sequence_spec()
         report = gk.run(spec, TABLE_PVALUES)
         f1, f2, f3 = report.outcomes
-        f1 = dataclasses.replace(f1, transfers=(f1.transfers[0], f1.transfers[0]))
+        f1 = f1._replace(transfers=(f1.transfers[0], f1.transfers[0]))
         with pytest.raises(ValueError, match="duplicate transfer target"):
             replay(gk.TestReport((f1, f2, f3), report.decisions), spec)
 

@@ -60,6 +60,12 @@ def test_unserializable_values_and_keys_raise():
         dumps({"a": object()})
     with pytest.raises(TypeError):
         dumps({1: "a"})
+    # A record is a tuple, but it is not written as an array.
+    for record in (gk.Transfer("F2", 0.5), gk.ValidationOutcome()):
+        with pytest.raises(TypeError, match="Transfer|ValidationOutcome"):
+            dumps({"a": [record]})
+        with pytest.raises(TypeError):
+            write_list([record], [].append)
 
 
 def test_every_writer_keeps_its_bytes():
