@@ -132,6 +132,8 @@ def step(
 
     plan = spec.plan
     fam = plan.by_name[family]
+    if family not in state.current_alpha:
+        raise ValueError(f"state has no level for family {family!r}")
     level = state.current_alpha[family]
     _check_pvalues((fam,), pvalues)
     if not 0.0 <= level <= 1.0:
@@ -141,6 +143,8 @@ def step(
         later = state.remaining[layer_idx + 1 :]
         if dst not in plan.position or not any(dst in layer for layer in later):
             raise ValueError(f"edge {family!r} -> {dst!r} must reach an untested later layer")
+        if dst not in state.current_alpha:
+            raise ValueError(f"edge {family!r} -> {dst!r}: state has no level for {dst!r}")
     edges.sort(key=lambda e: plan.position[e[0]])
     outcome = _test(fam, plan.kernels[family], level, pvalues, edges)
 
@@ -183,8 +187,8 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
         )
         for t in result.transfers:
             levels[t.target] += t.amount
-        decisions.update(dict.fromkeys(result.rejected, "S"))
-        decisions.update(dict.fromkeys(result.accepted, "NS"))
+        for label in fam.labels:
+            decisions[label] = "S" if label in result.rejected else "NS"
         outcomes.append(result)
     return TestReport(tuple(outcomes), decisions)
 
@@ -259,12 +263,10 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
             f"decisions cover {sorted(decided)}, spec labels are {sorted(plan.labels)}"
         )
     for o in report.outcomes:
-        for label in o.rejected:
-            if report.decisions[label] != "S":
-                v.append(f"decision for {label} is {report.decisions[label]!r}, not S")
-        for label in o.accepted:
-            if report.decisions[label] != "NS":
-                v.append(f"decision for {label} is {report.decisions[label]!r}, not NS")
+        for label in plan.by_name[o.family].labels:
+            want = "S" if label in o.rejected else "NS"
+            if report.decisions[label] != want:
+                v.append(f"decision for {label} is {report.decisions[label]!r}, not {want}")
     return ValidationOutcome(tuple(v))
 
 

@@ -78,6 +78,8 @@ class Plan(NamedTuple):
     position: Mapping[str, int]  # by name: place in execution order
     kernels: Mapping[str, Kernel]  # by name
     labels: frozenset[str]
+    order: tuple[str, ...]  # every label, family by family in execution order
+    columns: Mapping[str, slice]  # by name: its labels' positions in `order`
     # by source name: (target name, g) for each g > 0, targets in execution order
     edges: Mapping[str, tuple[tuple[str, float], ...]]
     # by target name: (source name, g) for each g > 0, sources in execution order
@@ -121,6 +123,11 @@ class GraphSpec(_GraphSpec):
         if not outcome.ok:
             raise InvalidSpecError(outcome.violations)
         families = tuple(self.families())
+        order = self.labels()
+        columns, start = {}, 0
+        for fam in families:
+            columns[fam.name] = slice(start, start + fam.size)
+            start += fam.size
         edges: dict[str, list[tuple[str, float]]] = {fam.name: [] for fam in families}
         sources: dict[str, list[tuple[str, float]]] = {fam.name: [] for fam in families}
         for (src, dst), g in _in_order(self):
@@ -134,7 +141,9 @@ class GraphSpec(_GraphSpec):
             kernels={
                 fam.name: Kernel.of(fam.procedure, fam.size, fam.labels) for fam in families
             },
-            labels=frozenset(self.labels()),
+            labels=frozenset(order),
+            order=order,
+            columns=columns,
             edges={name: tuple(out) for name, out in edges.items()},
             sources={name: tuple(into) for name, into in sources.items()},
         )

@@ -328,17 +328,9 @@ def graph_to_json(graph: HypothesisGraph) -> str:
     return dumps(obj)
 
 
-def _reject_constant(name: str):
-    raise SpecFormatError(f"non-finite number {name} is not allowed")
-
-
 def graph_from_json(text: str) -> HypothesisGraph:
-    obj = fields(
-        loads(text, parse_constant=_reject_constant),
-        ("alpha", "hypotheses", "weights", "transitions"),
-        "graph",
-        ("epsilon_edges",),
-    )
+    keys = ("alpha", "hypotheses", "weights", "transitions")
+    obj = fields(loads(text), keys, "graph", ("epsilon_edges",))
     eps = []
     for pair in list_of(list, obj.get("epsilon_edges", []), "epsilon_edges"):
         if len(pair) != 2:

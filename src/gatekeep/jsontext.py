@@ -26,12 +26,12 @@ from json.encoder import encode_basestring_ascii as _quote
 from .errors import SpecFormatError
 
 
-def loads(text: str, **kwargs):
-    """`json.loads(text, **kwargs)`; SpecFormatError for malformed text,
+def loads(text: str):
+    """`json.loads(text)`; SpecFormatError for malformed text,
     for an integer too long to convert and for nesting deeper than the
     parser can follow."""
     try:
-        return json.loads(text, **kwargs)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SpecFormatError(f"not valid JSON: {exc}") from None
 

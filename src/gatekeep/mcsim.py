@@ -24,12 +24,13 @@ the Cephes normal CDF that scipy.special.ndtr also uses, so the module
 needs numpy only.
 
 The replicate loop does not call the scalar engine, but runs off the same
-plan (`GraphSpec.plan`: families, kernels, in- and out-edges). `batch_run`
+plan (`GraphSpec.plan`: families, kernels, in- and out-edges, and the
+column layout: `order` and each family's `columns`). `batch_run`
 evaluates all replicates at once with batch drivers that read each family's
 thresholds and capped bound from its kernel, as the scalar engine does, so
 the formulas exist once; agreement tests hold the two drivers to each
 other, and the hypothesis-level oracle and the lattice reference check the
-formulas independently. Of its own it keeps each family's columns.
+formulas independently.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     block, a column's p-values are shared across the draw's configs that
     agree on its shift (delta for a false null, 0 for a true null), and a
     family's outcome across the spec's consecutive configs in the draw that
-    agree on its own truth bits and its sources' outcomes. Only one block of
+    agree on its own columns' shifts and truth and its sources' outcomes. Only one block of
     one draw is held at a time. Results equal simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
@@ -313,7 +314,7 @@ def _run(
             results[i] = SimResult(
                 fwer_hat=fwer_hat,
                 se=math.sqrt(fwer_hat * (1.0 - fwer_hat) / config.reps),
-                rejections_per_hypothesis=dict(zip(config.spec.labels(), counts)),
+                rejections_per_hypothesis=dict(zip(config.spec.plan.order, counts)),
                 reps=config.reps,
                 seed=config.seed,
             )
@@ -322,17 +323,18 @@ def _run(
 
 def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.ndarray:
     """One row per member config: the rows of block `start` of their shared
-    `draw` that rejected a true null, then its rejections per column (spec
-    label order).
+    `draw` that rejected a true null, then its rejections per column (in
+    `plan.order`).
 
     The block's scores are drawn once (or sliced from `given`, the whole
     score matrix of a lone config). A column's p-values are mapped once per
     shift (delta for a false null, 0 for a true null), when a family first
-    needs them. Each spec keeps the last outcome of each family, keyed on
-    its own columns' inputs and its sources' outcome objects: it is retested
-    exactly when its truth bits or those upstream change. That gets all the
-    sharing there is for masks in `itertools.product` order; keeping every
-    outcome would cost memory. Everything is dropped on return.
+    needs them, by the block's one `column` function. Each plan keeps the
+    last outcome of each family, keyed by `_evaluate` on its inputs: it is
+    retested exactly when its own shifts or truth or those upstream change.
+    That gets all the sharing there is for masks in `itertools.product`
+    order; keeping every outcome would cost memory. Everything is dropped
+    on return.
     """
     seed, reps, n, kind, rho = draw
     stop = min(reps, start + _BLOCK)
@@ -341,41 +343,31 @@ def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.nd
     else:
         scores = given[start:stop]
     pcols: dict[tuple, np.ndarray] = {}  # (column, shift) -> p-values
-    memos: dict[int, dict] = {}  # id(spec) -> its family memo
+
+    def column(j: int, s: float) -> np.ndarray:
+        p = pcols.get((j, s))
+        if p is None:  # -(score + 0.0) maps as -score does
+            p = pcols[j, s] = ndtr(-(scores[:, j] + s))
+        return p
+
+    memos: dict[int, dict] = {}  # id(plan) -> its family memo
     out = np.empty((len(members), n + 1), dtype=np.int64)
     for row, i in zip(out, members):
         config = configs[i]
-        spec, delta = config.spec, config.model.delta
-        false_mask = np.array([config.truth[label] == FALSE_NULL for label in spec.labels()])
-        # A false null's score is shifted by delta; -(s + 0.0) maps as -s does.
-        shift = np.where(false_mask, delta, 0.0)
-
-        def p_of(cols: slice) -> np.ndarray:
-            for j in range(cols.start, cols.stop):
-                if (j, shift[j]) not in pcols:
-                    pcols[j, shift[j]] = ndtr(-(scores[:, j] + shift[j]))
-            return np.column_stack([pcols[j, shift[j]] for j in range(cols.start, cols.stop)])
-
-        outcomes = _evaluate(
-            spec.plan,
-            _columns(spec.plan),
-            p_of,
-            memos.setdefault(id(spec), {}),
-            lambda cols: (delta, false_mask[cols].tobytes()),
-            ~false_mask,
-        ).values()
-        hits = [outcome.hit for outcome in outcomes if outcome.hit is not None]
-        row[0] = np.count_nonzero(np.logical_or.reduce(hits))  # rows that rejected a true null
-        row[1:] = [c for outcome in outcomes for c in outcome.counts]
+        plan = config.spec.plan
+        false_null = np.array([config.truth[label] == FALSE_NULL for label in plan.order])
+        shift = np.where(false_null, config.model.delta, 0.0)  # a false null's score shift
+        outcomes = _evaluate(plan, column, shift, ~false_null, memos.setdefault(id(plan), {}))
+        hits = np.logical_or.reduce([outcome.hit for outcome in outcomes.values()])
+        row[0] = np.count_nonzero(hits)  # rows that rejected a true null
+        row[1:] = [c for outcome in outcomes.values() for c in outcome.counts]
     return out
 
 
 def truth_mask(config: SimConfig) -> str:
     """'1'/'0' per hypothesis (spec label order): 1 marks a true null."""
-    return "".join(
-        "1" if config.truth[label] == TRUE_NULL else "0"
-        for label in config.spec.labels()
-    )
+    order = config.spec.plan.order
+    return "".join("1" if config.truth[label] == TRUE_NULL else "0" for label in order)
 
 
 def sweep_to_csv(configs: Sequence[SimConfig], results: Sequence[SimResult]) -> str:
@@ -400,41 +392,33 @@ class _Outcome:
 
     rejected: np.ndarray  # (rows, family size)
     spendable: np.ndarray | None  # level it passes on per unit of g; None if it passes none
-    counts: list[int] | None  # rejections per column (simulation only)
-    hit: np.ndarray | None  # rows that rejected one of its true nulls (None if it has none)
+    counts: list[int]  # rejections per column
+    hit: np.ndarray  # rows that rejected one of its true nulls
 
 
-def _columns(plan) -> dict[str, slice]:
-    """By family name: its columns in spec.labels() order."""
-    layout, start = {}, 0
-    for fam in plan.families:
-        layout[fam.name] = slice(start, start + fam.size)
-        start += fam.size
-    return layout
-
-
-def _evaluate(plan, layout, p_of, memo: dict, key_of, true_null=None) -> dict[str, _Outcome]:
+def _evaluate(plan, column, shift: np.ndarray, true_null: np.ndarray, memo: dict) -> dict:
     """Run the families of `plan` in order on every row; outcomes by name.
 
-    `layout` is `_columns(plan)`. `p_of(cols)` gives a family's (rows, size)
-    p-value matrix; it is called only for families that are tested.
-    `true_null` (a mask over all columns) makes each outcome carry its
-    column counts and true-null hits. `memo` holds one entry per family: a
-    family reuses its stored outcome when `key_of(cols)` and its sources'
-    outcomes (each equal only to itself) are those stored with it, so
-    `key_of` must cover every input of the family's own columns.
+    `column(j, s)` gives the p-values of column j (of `plan.order`) at
+    score shift `s`; `shift` and `true_null` hold each column's shift and
+    truth. `memo` holds one entry per family: a family reuses its stored
+    outcome when its inputs are those stored with it, namely its own
+    columns' shifts and truth and its sources' outcomes (each equal only to
+    itself). Columns are read only for families that are tested.
     """
     outcomes: dict[str, _Outcome] = {}
     for fam in plan.families:
-        cols = layout[fam.name]
-        key = (key_of(cols), *(outcomes[src] for src, _ in plan.sources[fam.name]))
+        cols = plan.columns[fam.name]
+        own = true_null[cols]
+        sources = plan.sources[fam.name]
+        key = (shift[cols].tobytes(), own.tobytes(), *(outcomes[src] for src, _ in sources))
         if fam.name in memo and memo[fam.name][0] == key:
             outcomes[fam.name] = memo[fam.name][1]
             continue
-        p = p_of(cols)
+        p = np.column_stack([column(j, s) for j, s in enumerate(shift[cols].tolist(), cols.start)])
         # Incoming level is added in source execution order, as engine.run adds it.
         level = np.full(p.shape[0], fam.initial_alpha)
-        for src, g in plan.sources[fam.name]:
+        for src, g in sources:
             level = level + outcomes[src].spendable * g
         kernel = plan.kernels[fam.name]
         rej = _BATCH_DRIVERS[kernel.kind](kernel, p, level[:, None])
@@ -443,15 +427,10 @@ def _evaluate(plan, layout, p_of, memo: dict, key_of, true_null=None) -> dict[st
             accepted = ~rej
             bound = kernel.bound(level, accepted.sum(axis=1), lambda w: _row_sum(accepted, w))
             spendable = level - bound
-        counts = hit = None
-        if true_null is not None:
-            # Per column: a reduction along the short axis of a C-ordered
-            # matrix is several times slower.
-            counts = [int(np.count_nonzero(col)) for col in rej.T]
-            own = true_null[cols]
-            if own.any():
-                hit = rej[:, own].any(axis=1)
-        outcomes[fam.name] = _Outcome(rej, spendable, counts, hit)
+        # Counts per column: a reduction along the short axis of a C-ordered
+        # matrix is several times slower.
+        counts = [int(np.count_nonzero(col)) for col in rej.T]
+        outcomes[fam.name] = _Outcome(rej, spendable, counts, rej[:, own].any(axis=1))
         memo[fam.name] = (key, outcomes[fam.name])
     return outcomes
 
@@ -464,13 +443,13 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
     `engine.run` row by row.
     """
     plan = spec.plan
-    n = len(plan.labels)
+    n = len(plan.order)
     pmat = np.asarray(pmat, dtype=float)
     if pmat.ndim != 2 or pmat.shape[1] != n:
         raise ValueError(f"p matrix must be (reps, {n})")
     if not np.all((pmat >= 0.0) & (pmat <= 1.0)):  # NaN fails both
         raise ValueError("p-values outside [0, 1]")
-    outcomes = _evaluate(plan, _columns(plan), lambda cols: pmat[:, cols], {}, lambda _: None)
+    outcomes = _evaluate(plan, lambda j, _: pmat[:, j], np.zeros(n), np.zeros(n, bool), {})
     return np.concatenate([outcome.rejected for outcome in outcomes.values()], axis=1)
 
 

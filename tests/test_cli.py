@@ -39,6 +39,13 @@ class TestParsePvalues:
     def test_header_only(self):
         assert parse_pvalues("hypothesis,p\n") == {}
 
+    def test_empty_file(self):
+        with pytest.raises(gk.SpecFormatError, match="empty p-value file"):
+            parse_pvalues("")
+
+    def test_blank_rows_skipped(self):
+        assert parse_pvalues("hypothesis,p\n\nA,0.5\n  \n") == {"A": 0.5}
+
     def test_out_of_range_names_row(self):
         with pytest.raises(gk.SpecFormatError, match="row 3"):
             parse_pvalues("hypothesis,p\nA,0.5\nB,1.2\n")

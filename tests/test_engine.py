@@ -1,6 +1,7 @@
 """Engine behavior: update rules, audit trail, invariants, reductions."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,31 @@ class TestStep:
         spec, state, pvalues = self._after_f1({("F2", "F3"): 1.0})
         with pytest.raises(ValueError, match="'F2' -> 'F3' must reach an untested later layer"):
             step(spec, state, "F2", pvalues)
+
+    @staticmethod
+    def bonferroni_chain():
+        return gk.make_spec(
+            0.05,
+            [[("F1", ["H1"], 0.05, proc.bonferroni())], [("F2", ["H2"], 0.0, proc.bonferroni())]],
+            {("F1", "F2"): 1.0},
+        )
+
+    @pytest.mark.parametrize("levels, message", [
+        ({"F1": 0.05}, "edge 'F1' -> 'F2': state has no level for 'F2'"),
+        ({"F2": 0.0}, "state has no level for family 'F1'"),
+    ])
+    def test_hand_edited_levels_without_a_family_named(self, levels, message):
+        spec = self.bonferroni_chain()
+        state = initial_state(spec)._replace(current_alpha=levels)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step(spec, state, "F1", {"H1": 0.01, "H2": 0.01})
+
+    @pytest.mark.parametrize("level", [1.5, -0.01, float("nan")])
+    def test_hand_edited_level_outside_unit_interval(self, level):
+        spec = self.bonferroni_chain()
+        state = initial_state(spec)._replace(current_alpha={"F1": level, "F2": 0.0})
+        with pytest.raises(ValueError, match=r"^level .* outside \[0, 1\]$"):
+            step(spec, state, "F1", {"H1": 0.01, "H2": 0.01})
 
     def test_exhausted_state(self):
         spec = self.singleton_gate()
@@ -454,6 +480,17 @@ class TestReplay:
             obj["decisions"]["H11"] = "NS"
 
         assert self._replay_edited(edit).violations == ("decision for H11 is 'NS', not S",)
+
+    def test_decisions_and_their_violations_in_label_order(self):
+        # Not in the hash order of a set of labels, whatever PYTHONHASHSEED is.
+        labels = ("H5", "H3", "H1", "H4", "H2")
+        spec = gk.make_spec(0.05, [[("F1", labels, 0.05, proc.bonferroni())]])
+        report = gk.run(spec, dict.fromkeys(labels, 0.0))
+        assert tuple(report.decisions) == labels
+        flipped = report._replace(decisions=dict.fromkeys(labels, "NS"))
+        assert replay(flipped, spec).violations == tuple(
+            f"decision for {label} is 'NS', not S" for label in labels
+        )
 
     def test_decisions_not_covering_the_labels_raise(self):
         def edit(obj):

@@ -4,7 +4,7 @@ import pytest
 
 import gatekeep as gk
 from gatekeep import procedures as proc
-from gatekeep.graph import SUM_TOL
+from gatekeep.graph import SUM_TOL, FamilySpec, GraphSpec, TransitionCoefficients
 
 from conftest import (
     SPEC_NUMBER_FIELDS,
@@ -27,7 +27,31 @@ def chain_spec():
     )
 
 
+def family(name, labels):
+    return FamilySpec(name, tuple(labels), 0.0, proc.bonferroni())
+
+
 class TestValidateSpec:
+    @pytest.mark.parametrize(
+        "layers, entries, violation",
+        [
+            ((), {}, "no layers"),
+            (((family("F1", ["H1"]),), ()), {}, "layer 2 is empty"),
+            (((family("F1", ["H1"]), family("F1", ["H2"])),), {}, "duplicate family name 'F1'"),
+            (((family("F1", []),),), {}, "family F1: no hypotheses"),
+            (((family("F1", ["H1"]),),), {("F1", "F9"): 1.0},
+             "transition (1, 1) -> F9: unknown family"),
+        ],
+    )
+    def test_shapes_make_spec_cannot_build(self, layers, entries, violation):
+        spec = GraphSpec(0.05, layers, TransitionCoefficients(entries))
+        assert violation in gk.validate_spec(spec).violations
+
+    def test_make_spec_refuses_a_duplicate_family_name(self):
+        layers = [[("F1", ["H1"], 0.0, proc.bonferroni())], [("F1", ["H2"], 0.0, proc.holm())]]
+        with pytest.raises(gk.SpecFormatError, match="duplicate family name 'F1'"):
+            gk.make_spec(0.05, layers)
+
     def test_parallel_split_strategy_is_ok(self):
         # 0.04 / 0.005 / 0.005 allocation with a 0.8 / 0.2 / 1 edge set
         assert gk.validate_spec(parallel_split_spec()).ok

@@ -1,10 +1,12 @@
 """Hypothesis-level graphical procedure: updates, epsilon edges, invariants."""
 
+import re
 from itertools import permutations
 
 import pytest
 
 import gatekeep as gk
+from gatekeep import cli
 from gatekeep import hypgraph as hg
 
 from conftest import GRAPH_NUMBER_FIELDS, graph_text_with_true, rejected_labels
@@ -41,6 +43,19 @@ class TestValidation:
                             {(0, 1): 0.7, (0, 2): 0.7})
         assert any("sums to" in v for v in hg.validate_graph(graph).violations)
 
+    @pytest.mark.parametrize("graph, violation", [
+        (plain_graph(0.05, [], [], {}), "no hypotheses"),
+        (plain_graph(0.05, ["A", "A"], [0.5, 0.5], {}), "duplicate hypothesis labels"),
+        (plain_graph(1.5, ["A"], [1.0], {}), "alpha 1.5 outside [0, 1]"),
+        (plain_graph(0.05, ["A", "B"], [1, 0], {(0, 1): -0.5}),
+         "coefficient -0.5 at (0, 1) outside [0, 1]"),
+        (plain_graph(0.05, ["A", "B", "C"], [1, 0, 0], {(0, 1): 0.7, (0, 2): 0.7},
+                     eps=[(0, 1), (0, 2)]),
+         "row 0 epsilon multipliers sum to 1.4 > 1"),
+    ])
+    def test_violation_named(self, graph, violation):
+        assert violation in hg.validate_graph(graph).violations
+
     def test_epsilon_edge_out_of_range(self):
         graph = plain_graph(0.05, ["A", "B"], [1, 0], {(0, 1): 1.0}, eps=[(0, 5)])
         assert any("epsilon edge" in v for v in hg.validate_graph(graph).violations)
@@ -72,6 +87,17 @@ class TestRunBasics:
     def test_all_ones_rejects_nothing(self):
         hyp, _ = hg.bonferroni_gate_pair(0.05)
         assert gk.run_hypothesis_graph(hyp, {l: 1.0 for l in hyp.labels}) == frozenset()
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_pvalue_outside_unit_interval_named(self, bad):
+        graph = plain_graph(0.05, ["A", "B"], [0.5, 0.5], {})
+        with pytest.raises(ValueError, match=r"for B outside \[0, 1\]$"):
+            gk.run_hypothesis_graph(graph, {"A": 0.01, "B": bad})
+
+    def test_pick_must_return_an_eligible_index(self):
+        graph = plain_graph(0.05, ["A", "B"], [0.5, 0.5], {})
+        with pytest.raises(ValueError, match="^pick returned ineligible index 1$"):
+            gk.run_hypothesis_graph(graph, {"A": 0.01, "B": 0.9}, pick=lambda eligible: 1)
 
     def test_single_hypothesis_boundary(self):
         graph = plain_graph(0.05, ["A"], [1.0], {})
@@ -215,17 +241,28 @@ class TestJson:
         ]:
             assert hg.graph_from_json(hg.graph_to_json(graph)) == graph
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("field", ["alpha", "weight", "transition"])
-    def test_non_finite_literals_rejected(self, literal, field):
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "field, violation",
+        [("alpha", "^alpha .* outside"), ("weight", "^non-finite weight$"),
+         ("transition", "^non-finite coefficient .* at \\(0, 0\\)$")],
+        ids=["alpha", "weight", "transition"],
+    )
+    def test_non_finite_literals_rejected(self, literal, field, violation, tmp_path, capsys):
+        # Non-finite numbers parse, as in strategy files; validation names the field.
         values = {"alpha": "0.05", "weight": "1", "transition": "0"}
         values[field] = literal
         text = (
             f'{{"alpha": {values["alpha"]}, "hypotheses": ["A"], '
             f'"weights": [{values["weight"]}], "transitions": [[{values["transition"]}]]}}'
         )
-        with pytest.raises(gk.SpecFormatError, match=f"non-finite number {literal}"):
-            hg.graph_from_json(text)
+        violations = hg.validate_graph(hg.graph_from_json(text)).violations
+        assert any(re.search(violation, v) for v in violations), violations
+        gpath, ppath = tmp_path / "graph.json", tmp_path / "p.csv"
+        gpath.write_text(text)
+        ppath.write_text("hypothesis,p\nA,0.01\n")
+        assert cli.main(["oracle", "--graph", str(gpath), "--pvalues", str(ppath)]) == 2
+        assert capsys.readouterr().err.splitlines() == list(violations)
 
     def test_alpha_must_be_a_number(self):
         with pytest.raises(gk.SpecFormatError, match="alpha must be a number"):

@@ -258,12 +258,14 @@ class TestSweep:
 
     def test_mixed_configs_match_direct_calls(self):
         # shuffled specs, truth masks, deltas, seeds and models in one call:
-        # the shared score, p-value and per-family caches change nothing
+        # the shared score, p-value and per-family caches change nothing. At
+        # delta 0 the shifts do not tell truth masks apart; only the truth can.
         import itertools
         import random
 
         specs = [three_layer_step_up_spec(), parallel_split_spec()]
         models = [
+            PValueModel(delta=0.0),
             PValueModel(delta=2.5),
             PValueModel(delta=3.0),
             PValueModel("equicorrelated_normal", rho=0.4, delta=3.0),

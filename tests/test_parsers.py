@@ -175,13 +175,18 @@ def test_readers_return_the_values():
 
 
 def test_finiteness_per_format():
-    # Spec numbers are read as numbers and NaN is left to validation;
-    # report numbers must be finite when read.
+    # Spec and graph numbers are read as numbers and non-finite ones are left
+    # to validation; report numbers must be finite when read.
     spec_obj = json.loads(gk.spec_to_json(three_layer_step_up_spec()))
     spec_obj["layers"][0][0]["alpha"] = float("nan")
     spec = gk.spec_from_json(json.dumps(spec_obj))
     with pytest.raises(gk.InvalidSpecError, match="initial alpha nan outside"):
         spec.plan
+    graph_obj = json.loads(DOCUMENTS["graph"])
+    graph_obj["weights"][0] = float("inf")
+    for text in (json.dumps(graph_obj), json.dumps(graph_obj).replace("Infinity", "1e999")):
+        graph = hypgraph.graph_from_json(text)
+        assert "non-finite weight" in hypgraph.validate_graph(graph).violations
     report_obj = json.loads(DOCUMENTS["report"])
     report_obj["outcomes"][1]["level"] = float("nan")
     with pytest.raises(gk.SpecFormatError, match="^outcome 2: level must be a finite number$"):

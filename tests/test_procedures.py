@@ -157,6 +157,21 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="does not take gamma"):
             rejects(bad, (0.01, 0.02), 0.05)
 
+    @pytest.mark.parametrize("bad, message", [
+        (gk.LocalProcedureSpec("bogus"), "unknown procedure kind 'bogus'"),
+        (gk.LocalProcedureSpec("fixed_sequence"), "fixed_sequence requires an order"),
+        (gk.LocalProcedureSpec("holm", order=("A", "B")), "holm does not take an order"),
+    ])
+    def test_procedure_problem_named_by_both_entry_points(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rejects(bad, (0.01, 0.02), 0.05, labels=("A", "B"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            error_rate_bound(bad, {1}, 2, 0.05)
+
+    def test_fixed_sequence_needs_labels_to_test(self):
+        with pytest.raises(ValueError, match="needs the family's hypothesis labels"):
+            rejects(proc.fixed_sequence(["A", "B"]), (0.01, 0.02), 0.05)
+
 
 class TestErrorRateBound:
     def test_holm_nonempty_is_full_level(self):
@@ -193,6 +208,11 @@ class TestErrorRateBound:
             error_rate_bound(proc.holm(), {0}, 3, 0.05)
         with pytest.raises(ValueError, match="within"):
             error_rate_bound(proc.holm(), {4}, 3, 0.05)
+
+    @pytest.mark.parametrize("level", [1.5, -0.01, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match=r"^level .* outside \[0, 1\]$"):
+            error_rate_bound(proc.holm(), {1}, 3, level)
 
     def test_range_and_empty_properties(self, rng):
         kinds = [
