@@ -9,7 +9,9 @@ change the outcome; `run` uses declared order for a deterministic audit
 trail.
 
 `step` advances one family at a time and never mutates its input state, so
-callers can fork execution paths. `replay` re-derives every level, bound
+callers can fork execution paths; a fork with other transition coefficients
+is a spec with other transitions (`spec._replace(transitions=...)`), which
+is validated like any spec. `replay` re-derives every level, bound
 and transfer from a report's rejection sets, catching corrupted or
 hand-edited reports. All three apply one update rule, `_advance`, and test
 with the kernels of the spec's plan (`GraphSpec.plan`), which is validated
@@ -22,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
-from .jsontext import dumps, fields, finite, list_of, loads, string
+from .jsontext import fields, finite, list_of, loads, nested, string
 from .procedures import Kernel
 
 REPLAY_TOL = 1e-12
@@ -57,18 +59,16 @@ class TestReport(NamedTuple):
 
 
 class ExecutionState(NamedTuple):
-    """Snapshot between steps: untested families, current levels, live edges."""
+    """Snapshot between steps: untested families and current levels."""
 
     remaining: tuple[frozenset[str], ...]
     current_alpha: Mapping[str, float]
-    current_g: Mapping[tuple[str, str], float]
 
 
 def initial_state(spec: GraphSpec) -> ExecutionState:
     return ExecutionState(
         remaining=tuple(frozenset(fam.name for fam in layer) for layer in spec.layers),
         current_alpha={fam.name: fam.initial_alpha for fam in spec.families()},
-        current_g=dict(spec.transitions.entries),
     )
 
 
@@ -82,10 +82,11 @@ def _check_pvalues(families: Iterable[FamilySpec], pvalues: Mapping[str, float])
 
 def _advance(kernel: Kernel, level: float, accepted, edges):
     """The update rules after testing a family at `level`: its bound
-    e*(accepted) and one transfer of (level - e*) * g per (target, g) edge,
-    in edge order."""
+    e*(accepted), `accepted` in ascending order, and one transfer of
+    (level - e*) * g per (target, g) edge, in edge order."""
     e_star = kernel.e_star(level, accepted)
-    return e_star, tuple(Transfer(dst, (level - e_star) * g) for dst, g in edges)
+    spare = level - e_star
+    return e_star, tuple([Transfer(dst, spare * g) for dst, g in edges])
 
 
 def _test(
@@ -93,17 +94,15 @@ def _test(
 ) -> FamilyOutcome:
     """Test `fam` at `level` and advance along `edges`."""
     labels = fam.labels
-    rejected_idx = kernel.test(tuple(pvalues[label] for label in labels), level)
-    accepted_idx = frozenset(range(1, fam.size + 1)) - rejected_idx
+    rejected_idx = kernel.test(tuple(map(pvalues.__getitem__, labels)), level)
+    if rejected_idx:
+        accepted_idx = [k for k in range(1, fam.size + 1) if k not in rejected_idx]
+        rejected = frozenset([labels[k - 1] for k in rejected_idx])
+        accepted = frozenset([labels[k - 1] for k in accepted_idx])
+    else:
+        accepted_idx, rejected, accepted = range(1, fam.size + 1), frozenset(), frozenset(labels)
     e_star, transfers = _advance(kernel, level, accepted_idx, edges)
-    return FamilyOutcome(
-        family=fam.name,
-        level_used=level,
-        rejected=frozenset(labels[k - 1] for k in rejected_idx),
-        accepted=frozenset(labels[k - 1] for k in accepted_idx),
-        e_star=e_star,
-        transfers=transfers,
-    )
+    return FamilyOutcome(fam.name, level, rejected, accepted, e_star, transfers)
 
 
 def step(
@@ -115,8 +114,8 @@ def step(
     """Test one family and return (outcome, next state); `state` is unchanged.
 
     The family must be untested and belong to the earliest layer that still
-    has untested families. Its level and edges come from `state`; a forked
-    or hand-edited one is followed if its edges lead to later untested layers.
+    has untested families. Its level comes from `state`, a forked or
+    hand-edited one included, and its edges from the spec's plan.
     """
     layer_idx = next((i for i, layer in enumerate(state.remaining) if layer), None)
     if layer_idx is None:
@@ -138,25 +137,20 @@ def step(
     _check_pvalues((fam,), pvalues)
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level {level!r} outside [0, 1]")
-    edges = [(dst, g) for (src, dst), g in state.current_g.items() if src == family and g > 0.0]
+    edges = plan.edges[family]
     for dst, _ in edges:
-        later = state.remaining[layer_idx + 1 :]
-        if dst not in plan.position or not any(dst in layer for layer in later):
-            raise ValueError(f"edge {family!r} -> {dst!r} must reach an untested later layer")
         if dst not in state.current_alpha:
             raise ValueError(f"edge {family!r} -> {dst!r}: state has no level for {dst!r}")
-    edges.sort(key=lambda e: plan.position[e[0]])
     outcome = _test(fam, plan.kernels[family], level, pvalues, edges)
 
     new_alpha = dict(state.current_alpha)
     for t in outcome.transfers:
         new_alpha[t.target] += t.amount
-    new_g = {edge: g for edge, g in state.current_g.items() if edge[0] != family}
     new_remaining = tuple(
         layer - {family} if i == layer_idx else layer
         for i, layer in enumerate(state.remaining)
     )
-    return outcome, ExecutionState(new_remaining, new_alpha, new_g)
+    return outcome, ExecutionState(new_remaining, new_alpha)
 
 
 def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
@@ -182,13 +176,13 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
     outcomes = []
     decisions = {}
     for fam in plan.families:
-        result = _test(
-            fam, plan.kernels[fam.name], levels[fam.name], pvalues, plan.edges[fam.name]
-        )
-        for t in result.transfers:
-            levels[t.target] += t.amount
+        name = fam.name
+        result = _test(fam, plan.kernels[name], levels[name], pvalues, plan.edges[name])
+        for dst, amount in result.transfers:
+            levels[dst] += amount
+        rejected = result.rejected
         for label in fam.labels:
-            decisions[label] = "S" if label in result.rejected else "NS"
+            decisions[label] = "S" if label in rejected else "NS"
         outcomes.append(result)
     return TestReport(tuple(outcomes), decisions)
 
@@ -211,62 +205,55 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
     untested = [{fam.name for fam in layer} for layer in spec.layers]
     current = 0  # the earliest layer with untested families
     for o in report.outcomes:
-        fam = plan.by_name[o.family]
-        where = f"family {o.family}"
+        name, rejected, accepted = o.family, o.rejected, o.accepted
+        fam = plan.by_name[name]
         while not untested[current]:
             current += 1
-        if o.family not in untested[current]:
+        if name not in untested[current]:
             raise ValueError(
-                f"{where}: tested out of order (layer {current + 1} was current)"
+                f"family {name}: tested out of order (layer {current + 1} was current)"
             )
-        untested[current].remove(o.family)
+        untested[current].remove(name)
 
-        if o.rejected | o.accepted != set(fam.labels) or (o.rejected & o.accepted):
-            raise ValueError(
-                f"{where}: rejected/accepted do not partition the hypotheses"
-            )
+        if rejected | accepted != set(fam.labels) or (rejected & accepted):
+            raise ValueError(f"family {name}: rejected/accepted do not partition the hypotheses")
 
-        level = levels[o.family]
+        level = levels[name]
+        accepted_idx = [k for k, label in enumerate(fam.labels, start=1) if label in accepted]
+        e_star, transfers = _advance(plan.kernels[name], level, accepted_idx, plan.edges[name])
+        found = []
         if abs(o.level_used - level) > REPLAY_TOL:
-            v.append(
-                f"{where}: level_used {o.level_used!r}, re-derived {level!r}"
-            )
-        accepted_idx = frozenset(
-            k for k, label in enumerate(fam.labels, start=1) if label in o.accepted
-        )
-        e_star, transfers = _advance(
-            plan.kernels[o.family], level, accepted_idx, plan.edges[o.family]
-        )
+            found.append(f"level_used {o.level_used!r}, re-derived {level!r}")
         if abs(o.e_star - e_star) > REPLAY_TOL:
-            v.append(f"{where}: e_star {o.e_star!r}, re-derived {e_star!r}")
+            found.append(f"e_star {o.e_star!r}, re-derived {e_star!r}")
 
-        derived = {t.target: t.amount for t in transfers}
-        reported = {t.target: t.amount for t in o.transfers}
+        reported = dict(o.transfers)
         if len(reported) != len(o.transfers):
-            raise ValueError(f"{where}: duplicate transfer target")
-        for dst in sorted(set(derived) | set(reported)):
-            if dst not in derived:
-                v.append(f"{where}: unexpected transfer to {dst}")
-            elif dst not in reported:
-                v.append(f"{where}: missing transfer to {dst}")
-            elif abs(derived[dst] - reported[dst]) > REPLAY_TOL:
-                v.append(
-                    f"{where}: transfer to {dst} is {reported[dst]!r}, "
-                    f"re-derived {derived[dst]!r}"
-                )
-        for t in transfers:
-            levels[t.target] += t.amount
+            raise ValueError(f"family {name}: duplicate transfer target")
+        by_target = []  # (target, violation), sorted by target below
+        for dst, amount in transfers:
+            got = reported.pop(dst, None)
+            if got is None:
+                by_target.append((dst, f"missing transfer to {dst}"))
+            elif abs(amount - got) > REPLAY_TOL:
+                by_target.append((dst, f"transfer to {dst} is {got!r}, re-derived {amount!r}"))
+        by_target += [(dst, f"unexpected transfer to {dst}") for dst in reported]
+        if found or by_target:
+            v += [f"family {name}: {text}" for text in found + [t for _, t in sorted(by_target)]]
+        for dst, amount in transfers:
+            levels[dst] += amount
 
-    decided = set(report.decisions)
-    if decided != plan.labels:
+    decisions = report.decisions
+    if set(decisions) != plan.labels:
         raise ValueError(
-            f"decisions cover {sorted(decided)}, spec labels are {sorted(plan.labels)}"
+            f"decisions cover {sorted(decisions)}, spec labels are {sorted(plan.labels)}"
         )
     for o in report.outcomes:
+        rejected = o.rejected
         for label in plan.by_name[o.family].labels:
-            want = "S" if label in o.rejected else "NS"
-            if report.decisions[label] != want:
-                v.append(f"decision for {label} is {report.decisions[label]!r}, not {want}")
+            want = "S" if label in rejected else "NS"
+            if decisions[label] != want:
+                v.append(f"decision for {label} is {decisions[label]!r}, not {want}")
     return ValidationOutcome(tuple(v))
 
 
@@ -274,29 +261,45 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+_IN_OUTCOME, _IN_TRANSFER = "\n      ", "\n          "  # where their values' lines start
+
 
 def report_to_json(report: TestReport) -> str:
-    obj = {
-        "outcomes": [
-            {
-                "family": o.family,
-                "level": o.level_used,
-                "rejected": sorted(o.rejected),
-                "accepted": sorted(o.accepted),
-                "e_star": o.e_star,
-                "transfers": [
-                    {"to": t.target, "amount": t.amount} for t in o.transfers
-                ],
-            }
-            for o in report.outcomes
-        ],
-        "decisions": dict(sorted(report.decisions.items())),
-    }
-    return dumps(obj)
+    """`dumps` of the report's JSON object, the same text, written by its
+    fixed schema: keys in the order `dumps` sorts them into, and no
+    intermediate object. Every value goes through `nested`, so a hand-built
+    report is written, or refused with TypeError, as `dumps` would."""
+    out = ['{\n  "decisions": ', nested(dict(report.decisions), "\n  "), ',\n  "outcomes": ']
+    sep = "[\n    "
+    for o in report.outcomes:
+        out += (
+            sep, '{\n      "accepted": ', nested(sorted(o.accepted), _IN_OUTCOME),
+            ',\n      "e_star": ', nested(o.e_star, _IN_OUTCOME),
+            ',\n      "family": ', nested(o.family, _IN_OUTCOME),
+            ',\n      "level": ', nested(o.level_used, _IN_OUTCOME),
+            ',\n      "rejected": ', nested(sorted(o.rejected), _IN_OUTCOME),
+            ',\n      "transfers": ',
+        )
+        inner = "[\n        "
+        for t in o.transfers:
+            out += (
+                inner, '{\n          "amount": ', nested(t.amount, _IN_TRANSFER),
+                ',\n          "to": ', nested(t.target, _IN_TRANSFER), "\n        }",
+            )
+            inner = ",\n        "
+        out.append("[]\n    }" if inner[0] == "[" else "\n      ]\n    }")
+        sep = ",\n    "
+    out.append("[]\n}" if sep[0] == "[" else "\n  ]\n}")
+    return "".join(out)
 
 
-def _transfer(obj) -> Transfer:
-    fields(obj, ("to", "amount"), "transfer")
+_OUTCOME_FIELDS = ("family", "level", "rejected", "accepted", "e_star", "transfers")
+_OUTCOME_KEYS, _TRANSFER_KEYS = frozenset(_OUTCOME_FIELDS), frozenset(("to", "amount"))
+
+
+def _transfer(obj: dict) -> Transfer:
+    if obj.keys() != _TRANSFER_KEYS:
+        fields(obj, ("to", "amount"), "transfer")  # raises, naming the key
     return Transfer(string(obj["to"], "transfer to"), finite(obj["amount"], "amount"))
 
 
@@ -305,19 +308,17 @@ def report_from_json(text: str) -> TestReport:
     obj = fields(loads(text), ("outcomes", "decisions"), "report")
     outcomes = []
     for i, entry in enumerate(list_of(dict, obj["outcomes"], "outcomes"), start=1):
-        keys = ("family", "level", "rejected", "accepted", "e_star", "transfers")
-        fields(entry, keys, f"outcome {i}")
+        if entry.keys() != _OUTCOME_KEYS:
+            fields(entry, _OUTCOME_FIELDS, f"outcome {i}")  # raises, naming the key
         try:
             outcomes.append(
                 FamilyOutcome(
-                    family=string(entry["family"], "family"),
-                    level_used=finite(entry["level"], "level"),
-                    rejected=frozenset(list_of(str, entry["rejected"], "rejected")),
-                    accepted=frozenset(list_of(str, entry["accepted"], "accepted")),
-                    e_star=finite(entry["e_star"], "e_star"),
-                    transfers=tuple(
-                        map(_transfer, list_of(dict, entry["transfers"], "transfers"))
-                    ),
+                    string(entry["family"], "family"),
+                    finite(entry["level"], "level"),
+                    frozenset(list_of(str, entry["rejected"], "rejected")),
+                    frozenset(list_of(str, entry["accepted"], "accepted")),
+                    finite(entry["e_star"], "e_star"),
+                    tuple(map(_transfer, list_of(dict, entry["transfers"], "transfers"))),
                 )
             )
         except SpecFormatError as exc:

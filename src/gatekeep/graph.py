@@ -75,7 +75,6 @@ class Plan(NamedTuple):
 
     families: tuple[FamilySpec, ...]  # execution order
     by_name: Mapping[str, FamilySpec]
-    position: Mapping[str, int]  # by name: place in execution order
     kernels: Mapping[str, Kernel]  # by name
     labels: frozenset[str]
     order: tuple[str, ...]  # every label, family by family in execution order
@@ -137,7 +136,6 @@ class GraphSpec(_GraphSpec):
         return Plan(
             families=families,
             by_name={fam.name: fam for fam in families},
-            position={fam.name: k for k, fam in enumerate(families)},
             kernels={
                 fam.name: Kernel.of(fam.procedure, fam.size, fam.labels) for fam in families
             },

@@ -10,11 +10,12 @@ neither a number nor an integer. Checks of meaning (a known kind, a
 duplicate edge, a value in range) stay with each format.
 
 `json.dumps` with an indent cannot use its C encoder. `dumps` writes the
-same bytes at indent 2, the one indent every writer uses, in about half
-the time, appending to one list and encoding leaves as json does.
-Object keys must be strings (json would also take numbers, booleans and
-None), and arrays exact lists or tuples: json would write a record (a
-NamedTuple) as an array, `dumps` refuses it like any other object.
+same bytes at indent 2 in about half the time, appending to one list and
+encoding leaves as json does; the report writer writes its fixed keys
+itself and each value with `nested`. Object keys must be strings (json
+would also take numbers, booleans and None), and arrays exact lists or
+tuples: json would write a record (a NamedTuple) as an array, `dumps`
+refuses it like any other object.
 """
 
 from __future__ import annotations
@@ -115,8 +116,16 @@ _STEP = "  "  # one level of indent
 
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, the same text."""
+    return nested(obj, "\n")
+
+
+def nested(value, newline: str) -> str:
+    """The text `dumps` writes for `value` where its line starts after `newline`."""
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     out: list[str] = []
-    _encode(obj, "\n", out)
+    _encode(value, newline, out)
     return "".join(out)
 
 

@@ -194,10 +194,10 @@ class Kernel(NamedTuple):
             return frozenset()
         return _DRIVERS[self.kind](self, p, level)
 
-    def e_star(self, level: float, accepted: Iterable[int]) -> float:
-        """e*(accepted) at `level`; `accepted` holds 1-based indices."""
-        a = sorted(accepted)
-        return self.bound(level, len(a), lambda w: sum(w[k - 1] for k in a))
+    def e_star(self, level: float, accepted: Sequence[int]) -> float:
+        """e*(accepted) at `level`; `accepted` holds 1-based indices in
+        ascending order."""
+        return self.bound(level, len(accepted), lambda w: sum(w[k - 1] for k in accepted))
 
 
 def _le_positive(p: float, threshold: float) -> bool:
@@ -307,4 +307,4 @@ def error_rate_bound(
     problems = check_procedure(proc, n)
     if problems:
         raise ValueError("; ".join(problems))
-    return Kernel.of(proc, n).e_star(level, a)
+    return Kernel.of(proc, n).e_star(level, sorted(a))

@@ -151,38 +151,55 @@ class TestStep:
         with pytest.raises(ValueError, match="not an untested family"):
             step(spec, state, "F11", {"H1": 1, "H2": 1, "H3": 1, "H4": 1})
 
-    def test_unknown_edge_target_named(self):
+    @staticmethod
+    def _forked(edges):
+        """The two-layer fixed-sequence spec with other transitions: a fork
+        with other coefficients is validated like any spec."""
         spec = two_layer_fixed_sequence_spec()
-        state = initial_state(spec)._replace(current_g={("F1", "F9"): 1.0})
-        with pytest.raises(ValueError, match="'F1' -> 'F9'"):
-            step(spec, state, "F1", TABLE_PVALUES)
+        return spec._replace(transitions=gk.TransitionCoefficients(edges))
+
+    def test_unknown_edge_target_named(self):
+        spec = self._forked({("F1", "F9"): 1.0})
+        with pytest.raises(gk.InvalidSpecError, match=r"transition \(1, 1\) -> F9: unknown family"):
+            step(spec, initial_state(spec), "F1", TABLE_PVALUES)
 
     def test_edge_to_family_outside_the_spec_named(self):
-        # F9 is listed as untested but the spec has no such family.
-        spec = two_layer_fixed_sequence_spec()
+        # A state that lists F9 as untested does not make an edge to it valid.
+        spec = self._forked({("F1", "F9"): 1.0})
         state = initial_state(spec)._replace(
             remaining=(frozenset({"F1"}), frozenset({"F2", "F3", "F9"})),
-            current_g={("F1", "F9"): 1.0},
         )
-        with pytest.raises(ValueError, match="'F1' -> 'F9'"):
+        with pytest.raises(gk.InvalidSpecError, match="-> F9: unknown family"):
             step(spec, state, "F1", TABLE_PVALUES)
 
     def _after_f1(self, edges):
         spec = two_layer_fixed_sequence_spec()
         pvalues = {label: 0.001 for label in TABLE_PVALUES}
         _, state = step(spec, initial_state(spec), "F1", pvalues)
-        return spec, state._replace(current_g=edges), pvalues
+        return self._forked(edges), state, pvalues
 
     def test_back_edge_to_tested_family_rejected(self):
         # F1 is tested; a live F2 -> F1 edge would hand F1 level it never spends.
         spec, state, pvalues = self._after_f1({("F2", "F1"): 1.0})
-        with pytest.raises(ValueError, match="'F2' -> 'F1'"):
+        with pytest.raises(
+            gk.InvalidSpecError, match=r"backward edge transition \(2, 1\) -> \(1, 1\)"
+        ):
             step(spec, state, "F2", pvalues)
 
     def test_same_layer_edge_rejected(self):
         spec, state, pvalues = self._after_f1({("F2", "F3"): 1.0})
-        with pytest.raises(ValueError, match="'F2' -> 'F3' must reach an untested later layer"):
+        with pytest.raises(
+            gk.InvalidSpecError, match=r"backward edge transition \(2, 1\) -> \(2, 2\)"
+        ):
             step(spec, state, "F2", pvalues)
+
+    @pytest.mark.parametrize("g", [5.0, float("nan")])
+    def test_coefficient_outside_unit_interval_passes_nothing(self, g):
+        # A coefficient lives only on the spec, so step cannot follow one
+        # that validation refuses (5.0 would pass 0.125 out of 0.05).
+        spec = self._forked({("F1", "F3"): g})
+        with pytest.raises(gk.InvalidSpecError, match=rf"coefficient {g} outside \[0, 1\]"):
+            step(spec, initial_state(spec), "F1", TABLE_PVALUES)
 
     @staticmethod
     def bonferroni_chain():
@@ -480,6 +497,44 @@ class TestReplay:
             obj["decisions"]["H11"] = "NS"
 
         assert self._replay_edited(edit).violations == ("decision for H11 is 'NS', not S",)
+
+    def test_every_kind_of_violation_in_order(self):
+        # P's targets run S3, S1, S2 in execution order; its violations
+        # come after its level and e*, sorted by target name.
+        spec = gk.make_spec(
+            0.05,
+            [
+                [("P", ["H1", "H2"], 0.05, proc.bonferroni())],
+                [("S3", ["H3"], 0.0, proc.bonferroni()),
+                 ("S1", ["H4"], 0.0, proc.bonferroni()),
+                 ("S2", ["H5"], 0.0, proc.bonferroni())],
+                [("R", ["H6"], 0.0, proc.bonferroni())],
+            ],
+            {("P", "S3"): 0.5, ("P", "S1"): 0.3, ("P", "S2"): 0.2,
+             ("S3", "R"): 1.0, ("S1", "R"): 1.0},
+        )
+        report = gk.run(
+            spec, {"H1": 0.001, "H2": 0.9, "H3": 0.001, "H4": 0.9, "H5": 0.9, "H6": 0.001}
+        )
+        p, s3, s1, s2, r = report.outcomes
+        p = p._replace(
+            level_used=0.04,
+            e_star=0.02,
+            transfers=(gk.Transfer("S3", 0.5), gk.Transfer("R", 0.01), gk.Transfer("S1", 0.25)),
+        )
+        tampered = gk.TestReport(
+            (p, s3, s1, s2._replace(level_used=0.5), r), {**report.decisions, "H6": "NS"}
+        )
+        assert replay(tampered, spec).violations == (
+            "family P: level_used 0.04, re-derived 0.05",
+            "family P: e_star 0.02, re-derived 0.025",
+            "family P: unexpected transfer to R",
+            "family P: transfer to S1 is 0.25, re-derived 0.0075",
+            "family P: missing transfer to S2",
+            "family P: transfer to S3 is 0.5, re-derived 0.0125",
+            "family S2: level_used 0.5, re-derived 0.005000000000000001",
+            "decision for H6 is 'NS', not S",
+        )
 
     def test_decisions_and_their_violations_in_label_order(self):
         # Not in the hash order of a set of labels, whatever PYTHONHASHSEED is.

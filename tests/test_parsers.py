@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -424,3 +425,62 @@ def test_pvalue_decimals_accepted(field, value):
 def test_pvalue_non_decimals_refused(field):
     with pytest.raises(gk.SpecFormatError, match=r"^row 2: p-value .* is not a number$"):
         parse_pvalues(f"hypothesis,p\nH1,{field}\n")
+
+
+# ---------------------------------------------------------------------------
+# Report messages, word for word
+# ---------------------------------------------------------------------------
+
+
+def _at(where):
+    """The object an edit changes: the report, its outcome 2 (F2, which has
+    one transfer) or that outcome's transfer."""
+    return {
+        "report": lambda obj: obj,
+        "outcome": lambda obj: obj["outcomes"][1],
+        "transfer": lambda obj: obj["outcomes"][1]["transfers"][0],
+    }[where]
+
+
+REPORT_MESSAGES = [
+    ("report", {}, ("outcomes",), "report: missing key 'outcomes'"),
+    ("report", {}, ("decisions", "outcomes"), "report: missing key 'outcomes'"),
+    ("report", {"zeta": 1, "beta": 2}, (), "report: unknown key 'beta'"),
+    ("report", {"outcomes": {}}, (), "outcomes must be a list of objects"),
+    ("report", {"decisions": []}, (), "decisions must be an object"),
+    ("report", {"decisions": math.nan}, (), "decisions must be an object"),
+    ("outcome", {}, ("e_star",), "outcome 2: missing key 'e_star'"),
+    ("outcome", {}, ("accepted", "level"), "outcome 2: missing key 'level'"),
+    ("outcome", {"zeta": 1, "beta": 2}, (), "outcome 2: unknown key 'beta'"),
+    ("outcome", {"beta": 1, "family": 5}, (), "outcome 2: unknown key 'beta'"),
+    ("outcome", {"family": 5}, (), "outcome 2: family must be a string"),
+    ("outcome", {"level": True}, (), "outcome 2: level must be a finite number"),
+    ("outcome", {"rejected": [1]}, (), "outcome 2: rejected must be a list of strings"),
+    ("outcome", {"transfers": [[]]}, (), "outcome 2: transfers must be a list of objects"),
+    ("outcome", {"level": math.nan}, (), "outcome 2: level must be a finite number"),
+    ("outcome", {"e_star": math.inf}, (), "outcome 2: e_star must be a finite number"),
+    ("outcome", {"e_star": 10**400}, (), "outcome 2: e_star must be a finite number"),
+    ("transfer", {}, ("amount",), "outcome 2: transfer: missing key 'amount'"),
+    ("transfer", {"zeta": 1, "beta": 2}, (), "outcome 2: transfer: unknown key 'beta'"),
+    ("transfer", {"to": 5}, ("amount",), "outcome 2: transfer: missing key 'amount'"),
+    ("transfer", {"to": 5}, (), "outcome 2: transfer to must be a string"),
+    ("transfer", {"amount": "0.1"}, (), "outcome 2: amount must be a finite number"),
+    ("transfer", {"amount": -math.inf}, (), "outcome 2: amount must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("where, put, drop, message", REPORT_MESSAGES)
+def test_report_message(where, put, drop, message):
+    obj = json.loads(DOCUMENTS["report"])
+    target = _at(where)(obj)
+    for key in drop:
+        del target[key]
+    target.update(put)
+    with pytest.raises(gk.SpecFormatError, match=f"^{re.escape(message)}$"):
+        gk.report_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["NaN", "[]", '"report"'])
+def test_report_that_is_not_an_object(text):
+    with pytest.raises(gk.SpecFormatError, match="^report must be an object$"):
+        gk.report_from_json(text)

@@ -130,20 +130,19 @@ class TestPlan:
         assert dict(spec.transitions.entries) == {("F1", "F2"): 0.5}
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_step_follows_a_hand_edited_state(self):
+    def test_step_follows_a_forked_spec(self):
         spec = two_layer_fixed_sequence_spec()
-        state = initial_state(spec)
+        assert spec.plan.edges["F1"] == (("F2", 0.5), ("F3", 0.5))
         # send all of F1's unspent level to F3 instead of splitting it
-        edited = type(state)(
-            state.remaining,
-            state.current_alpha,
-            {("F1", "F3"): 1.0},
-        )
+        forked = spec._replace(transitions=gk.TransitionCoefficients({("F1", "F3"): 1.0}))
         pvalues = {label: 0.001 for label in TABLE_PVALUES}  # F1 rejects all, spends 0
-        outcome, after = step(spec, edited, "F1", pvalues)
+        outcome, after = step(forked, initial_state(forked), "F1", pvalues)
         assert outcome.transfers == (gk.Transfer("F3", 0.04),)
         assert after.current_alpha["F2"] == 0.005
         assert after.current_alpha["F3"] == 0.005 + 0.04
-        assert after.current_g == {}
-        outcome, _ = step(spec, after, "F3", pvalues)
+        outcome, _ = step(forked, after, "F3", pvalues)
         assert outcome.level_used == 0.005 + 0.04
+        # the fork built its own plan; the original's is unchanged
+        assert forked.plan.edges["F1"] == (("F3", 1.0),)
+        outcome, _ = step(spec, initial_state(spec), "F1", pvalues)
+        assert outcome.transfers == (gk.Transfer("F2", 0.02), gk.Transfer("F3", 0.02))

@@ -67,11 +67,12 @@ def test_replace_forks_a_state():
     spec = two_layer_fixed_sequence_spec()
     state = initial_state(spec)
     before = copy.deepcopy(state)
-    fork = state._replace(current_g={("F1", "F3"): 1.0})
+    fork = state._replace(current_alpha={**state.current_alpha, "F1": 0.03})
     assert state == before
     assert fork.remaining is state.remaining
     outcome, _ = step(spec, fork, "F1", {label: 0.001 for label in TABLE_PVALUES})
-    assert outcome.transfers == (gk.Transfer("F3", 0.04),)
+    assert outcome.level_used == 0.03
+    assert outcome.transfers == (gk.Transfer("F2", 0.015), gk.Transfer("F3", 0.015))
     assert state == before
 
 
