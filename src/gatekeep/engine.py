@@ -130,6 +130,8 @@ def step(
         raise ValueError(f"family {family!r} is not an untested family")
 
     plan = spec.plan
+    if family not in plan.by_name:
+        raise ValueError(f"family {family!r} is not in the spec")
     fam = plan.by_name[family]
     if family not in state.current_alpha:
         raise ValueError(f"state has no level for family {family!r}")

@@ -25,12 +25,18 @@ needs numpy only.
 
 The replicate loop does not call the scalar engine, but runs off the same
 plan (`GraphSpec.plan`: families, kernels, in- and out-edges, and the
-column layout: `order` and each family's `columns`). `batch_run`
-evaluates all replicates at once with batch drivers that read each family's
-thresholds and capped bound from its kernel, as the scalar engine does, so
-the formulas exist once; agreement tests hold the two drivers to each
-other, and the hypothesis-level oracle and the lattice reference check the
-formulas independently.
+column layout: `order` and each family's `columns`). `batch_run`,
+`simulate_fwer` and `sweep` evaluate all replicates at once with one
+evaluator, whose batch drivers read each family's thresholds and capped
+bound from its kernel, as the scalar engine does, so the formulas exist
+once. A family's p-values are held one row per column and every step works
+on whole columns. A family whose thresholds depend on the rank alone
+(Hochberg, truncated Hochberg, truncated Holm, Holm with equal weights) is
+decided from its ranking, which does not depend on the level: a sweep
+ranks it once per block and own shifts, within a fixed budget of values,
+and each config compares that ranking with its own thresholds. Agreement
+tests hold the two drivers to each other, and the hypothesis-level oracle
+and the lattice reference check the formulas independently.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from json.decoder import WHITESPACE
 from typing import Mapping, Sequence
 
@@ -249,6 +256,8 @@ def draw_scores(
 # Rows per block. Replicates are evaluated one block of rows at a time, so
 # memory does not grow with reps; 1e4-rep sweeps stay one block.
 _BLOCK = 16384
+# Float64 values that one block's ranking cache holds at most (8 MB).
+_RANK_BUDGET = 1 << 20
 
 
 def simulate_fwer(config: SimConfig, _scores: np.ndarray | None = None) -> SimResult:
@@ -273,10 +282,12 @@ def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     config, and each draw runs in blocks of `_BLOCK` rows over all of its
     configs; each config's counts are added up over the blocks. Within a
     block, a column's p-values are shared across the draw's configs that
-    agree on its shift (delta for a false null, 0 for a true null), and a
-    family's outcome across the spec's consecutive configs in the draw that
-    agree on its own columns' shifts and truth and its sources' outcomes. Only one block of
-    one draw is held at a time. Results equal simulate_fwer's.
+    agree on its shift (delta for a false null, 0 for a true null), a
+    family's ranking across the spec's configs that agree on its own
+    columns' shifts, and a family's outcome across the spec's consecutive
+    configs that also agree on its own truth and its sources' outcomes.
+    Only one block of one draw is held at a time. Results equal
+    simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
     """
@@ -332,9 +343,8 @@ def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.nd
     needs them, by the block's one `column` function. Each plan keeps the
     last outcome of each family, keyed by `_evaluate` on its inputs: it is
     retested exactly when its own shifts or truth or those upstream change.
-    That gets all the sharing there is for masks in `itertools.product`
-    order; keeping every outcome would cost memory. Everything is dropped
-    on return.
+    A retest reuses the family's ranking from `ranks` if its own shifts were
+    seen (`_rank`). Everything is dropped on return.
     """
     seed, reps, n, kind, rho = draw
     stop = min(reps, start + _BLOCK)
@@ -351,13 +361,14 @@ def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.nd
         return p
 
     memos: dict[int, dict] = {}  # id(plan) -> its family memo
+    ranks = {} if len(members) > 1 else None  # see _rank; a lone config reuses none
     out = np.empty((len(members), n + 1), dtype=np.int64)
     for row, i in zip(out, members):
         config = configs[i]
         plan = config.spec.plan
         false_null = np.array([config.truth[label] == FALSE_NULL for label in plan.order])
         shift = np.where(false_null, config.model.delta, 0.0)  # a false null's score shift
-        outcomes = _evaluate(plan, column, shift, ~false_null, memos.setdefault(id(plan), {}))
+        outcomes = _evaluate(plan, column, shift, ~false_null, memos.setdefault(id(plan), {}), ranks)
         hits = np.logical_or.reduce([outcome.hit for outcome in outcomes.values()])
         row[0] = np.count_nonzero(hits)  # rows that rejected a true null
         row[1:] = [c for outcome in outcomes.values() for c in outcome.counts]
@@ -390,13 +401,13 @@ def sweep_to_csv(configs: Sequence[SimConfig], results: Sequence[SimResult]) -> 
 class _Outcome:
     """One family's result on every row; it equals only itself."""
 
-    rejected: np.ndarray  # (rows, family size)
+    rejected: np.ndarray  # (family size, rows): one row of rejections per column
     spendable: np.ndarray | None  # level it passes on per unit of g; None if it passes none
     counts: list[int]  # rejections per column
     hit: np.ndarray  # rows that rejected one of its true nulls
 
 
-def _evaluate(plan, column, shift: np.ndarray, true_null: np.ndarray, memo: dict) -> dict:
+def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = None) -> dict:
     """Run the families of `plan` in order on every row; outcomes by name.
 
     `column(j, s)` gives the p-values of column j (of `plan.order`) at
@@ -404,7 +415,8 @@ def _evaluate(plan, column, shift: np.ndarray, true_null: np.ndarray, memo: dict
     truth. `memo` holds one entry per family: a family reuses its stored
     outcome when its inputs are those stored with it, namely its own
     columns' shifts and truth and its sources' outcomes (each equal only to
-    itself). Columns are read only for families that are tested.
+    itself). Columns are read only for families that are tested. `ranks`,
+    if given, keeps the families' rankings from call to call (`_rank`).
     """
     outcomes: dict[str, _Outcome] = {}
     for fam in plan.families:
@@ -415,22 +427,23 @@ def _evaluate(plan, column, shift: np.ndarray, true_null: np.ndarray, memo: dict
         if fam.name in memo and memo[fam.name][0] == key:
             outcomes[fam.name] = memo[fam.name][1]
             continue
-        p = np.column_stack([column(j, s) for j, s in enumerate(shift[cols].tolist(), cols.start)])
+        # One row per column: every step below works on whole columns.
+        p = np.array([column(j, s) for j, s in enumerate(shift[cols].tolist(), cols.start)])
         # Incoming level is added in source execution order, as engine.run adds it.
-        level = np.full(p.shape[0], fam.initial_alpha)
+        level = np.full(p.shape[1], fam.initial_alpha)
         for src, g in sources:
             level = level + outcomes[src].spendable * g
         kernel = plan.kernels[fam.name]
-        rej = _BATCH_DRIVERS[kernel.kind](kernel, p, level[:, None])
+        ranked = _rank(kernel, p, ranks, (id(plan), fam.name, key[0]))
+        driver = _in_sequence if kernel.kind == "fixed_sequence" else _fixed_point
+        rej = driver(kernel, p, level) if ranked is None else _by_rank(kernel, p, level, ranked)
         spendable = None
         if plan.edges[fam.name]:
             accepted = ~rej
-            bound = kernel.bound(level, accepted.sum(axis=1), lambda w: _row_sum(accepted, w))
+            bound = kernel.bound(level, accepted.sum(axis=0), lambda w: _row_sum(accepted, w))
             spendable = level - bound
-        # Counts per column: a reduction along the short axis of a C-ordered
-        # matrix is several times slower.
-        counts = [int(np.count_nonzero(col)) for col in rej.T]
-        outcomes[fam.name] = _Outcome(rej, spendable, counts, rej[:, own].any(axis=1))
+        counts = [int(np.count_nonzero(r)) for r in rej]
+        outcomes[fam.name] = _Outcome(rej, spendable, counts, rej[own].any(axis=0))
         memo[fam.name] = (key, outcomes[fam.name])
     return outcomes
 
@@ -450,71 +463,93 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
     if not np.all((pmat >= 0.0) & (pmat <= 1.0)):  # NaN fails both
         raise ValueError("p-values outside [0, 1]")
     outcomes = _evaluate(plan, lambda j, _: pmat[:, j], np.zeros(n), np.zeros(n, bool), {})
-    return np.concatenate([outcome.rejected for outcome in outcomes.values()], axis=1)
+    return np.concatenate([outcome.rejected for outcome in outcomes.values()]).T
 
 
-def _row_sum(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per row, the sum of w over the columns set in mask, folded left to
-    right as the scalar procedures add it (numpy's own sum goes pairwise
-    from 8 columns, which can differ in the last bit)."""
-    total = np.zeros(mask.shape[0])
-    for j in range(mask.shape[1]):
-        total += np.where(mask[:, j], w[j], 0.0)
+def _row_sum(mask: np.ndarray, w) -> np.ndarray:
+    """Per replicate, the sum of w over the columns set in mask, folded in
+    column order as the scalar procedures add it (numpy's own sum goes
+    pairwise from 8 terms, which can differ in the last bit)."""
+    total = np.zeros(mask.shape[1])
+    for m, wj in zip(mask, w):
+        total += np.where(m, wj, 0.0)
     return total
 
 
-# The batch drivers: procedures' scalar drivers over replicate rows, with
-# `level` a column of levels (one per row) and thresholds from the kernel.
+def _rank(kernel: Kernel, p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray | None:
+    """Each replicate's p-values in ascending order (one row per rank), for
+    a kernel whose thresholds depend on the rank alone; None for the others.
+
+    A ranking does not depend on the level, so `ranks` keeps it, keyed by
+    (plan, family, own shifts), for the other configs of the block; least
+    recently used first, and at most `_RANK_BUDGET` values in all.
+    """
+    if kernel.kind in ("bonferroni", "fixed_sequence") or len(set(kernel.weights or ())) > 1:
+        return None
+    ranked = None if ranks is None else ranks.pop(key, None)
+    if ranked is None:
+        ranked = np.sort(p, axis=0)
+        while ranks and sum(r.size for r in ranks.values()) + ranked.size > _RANK_BUDGET:
+            del ranks[next(iter(ranks))]
+    if ranks is not None:
+        ranks[key] = ranked
+    return ranked
 
 
-def _batch_fixed_point(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
-    # Step-down: reject every hypothesis in play that clears its threshold,
-    # until none does, as the scalar driver (Bonferroni in one round).
-    reps, n = pmat.shape
-    weight = None if kernel.weights is None else np.array(kernel.weights)
-    active = np.ones((reps, n), dtype=bool)
-    for _ in range(1 if kernel.kind == "bonferroni" else n):
-        # Holm reads the weight in play, truncated Holm the count in play.
-        # A zero weight in play leaves only zero weights, which clear nothing.
-        rest = total = None
-        if kernel.kind == "truncated_holm":
-            rest = np.maximum(active.sum(axis=1), 1)[:, None]
-        elif kernel.kind == "holm":
+# The batch drivers: procedures' scalar drivers over replicates, with `p`
+# one row per column, `level` one level per replicate, and thresholds from
+# the kernel. No reduction runs along the short axis (family size).
+
+
+def _by_rank(kernel: Kernel, p: np.ndarray, level: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    # Step-up (Hochberg) rejects every p at or below the largest ranked p
+    # that clears its threshold; step-down (truncated Holm, Holm with equal
+    # weights) the cleared prefix of the ranking: its thresholds only grow
+    # as the count in play falls, and an equal-weight total is a fold of
+    # equal terms, so that prefix is the scalar driver's fixed point.
+    # Thresholds rise with rank, so no tie straddles the cut.
+    n = kernel.n
+    w = kernel.weights and kernel.weights[0]
+    totals = list(accumulate([w] * n)) if w else [None] * n  # weight in play, by count - 1
+    cut = np.full(level.shape, -1.0)
+    cleared = True
+    for i, r in enumerate(ranked):
+        thr = kernel.threshold(level, n - i, w, totals[n - 1 - i])
+        ok = (r <= thr) & (thr > 0.0)
+        if kernel.kind in ("holm", "truncated_holm"):
+            ok = cleared = cleared & ok
+        cut = np.where(ok, r, cut)
+    return p <= cut
+
+
+def _fixed_point(kernel: Kernel, p: np.ndarray, level: np.ndarray) -> np.ndarray:
+    # Step-down with a threshold per weight (Bonferroni, weighted Holm):
+    # reject every hypothesis in play that clears its threshold, until none
+    # does, as the scalar driver (Bonferroni in one round).
+    weight = np.array(kernel.weights)[:, None]
+    active = np.ones(p.shape, dtype=bool)
+    for _ in range(1 if kernel.kind == "bonferroni" else kernel.n):
+        # Holm reads the weight in play. A zero weight in play leaves only
+        # zero weights, which clear nothing.
+        total = None
+        if kernel.kind == "holm":
             total = _row_sum(active, kernel.weights)
-            total = np.where(total > 0.0, total, 1.0)[:, None]
-        thr = kernel.threshold(level, rest, weight, total)
-        cleared = active & (pmat <= thr) & (thr > 0.0)
+            total = np.where(total > 0.0, total, 1.0)
+        thr = kernel.threshold(level, None, weight, total)
+        cleared = active & (p <= thr) & (thr > 0.0)
         if not cleared.any():
             break
         active &= ~cleared
     return ~active
 
 
-def _batch_step_up(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
-    ranked = np.sort(pmat, axis=1)
-    thr = kernel.threshold(level, np.arange(pmat.shape[1], 0, -1))
-    cut = np.max(np.where((ranked <= thr) & (thr > 0.0), ranked, -1.0), axis=1)
-    return pmat <= cut[:, None]
-
-
-def _batch_in_sequence(kernel: Kernel, pmat: np.ndarray, level: np.ndarray) -> np.ndarray:
-    positions = list(kernel.order)
+def _in_sequence(kernel: Kernel, p: np.ndarray, level: np.ndarray) -> np.ndarray:
     thr = kernel.threshold(level)
-    ok = (pmat[:, positions] <= thr) & (thr > 0.0)
-    streak = np.logical_and.accumulate(ok, axis=1)
-    rejected = np.zeros_like(pmat, dtype=bool)
-    rejected[:, positions] = streak
+    ok = thr > 0.0
+    rejected = np.empty(p.shape, dtype=bool)
+    for k in kernel.order:
+        ok = rejected[k] = ok & (p[k] <= thr)
     return rejected
-
-
-_BATCH_DRIVERS = {
-    "bonferroni": _batch_fixed_point,
-    "holm": _batch_fixed_point,
-    "truncated_holm": _batch_fixed_point,
-    "hochberg": _batch_step_up,
-    "truncated_hochberg": _batch_step_up,
-    "fixed_sequence": _batch_in_sequence,
-}
 
 
 # ---------------------------------------------------------------------------

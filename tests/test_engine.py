@@ -172,6 +172,15 @@ class TestStep:
         with pytest.raises(gk.InvalidSpecError, match="-> F9: unknown family"):
             step(spec, state, "F1", TABLE_PVALUES)
 
+    def test_untested_family_outside_the_spec_named(self):
+        # A hand-edited state may list a family the spec lacks as untested.
+        spec = two_layer_fixed_sequence_spec()
+        state = initial_state(spec)._replace(
+            remaining=(frozenset({"F9", "F1"}), frozenset({"F2", "F3"})),
+        )
+        with pytest.raises(ValueError, match=r"^family 'F9' is not in the spec$"):
+            step(spec, state, "F9", TABLE_PVALUES)
+
     def _after_f1(self, edges):
         spec = two_layer_fixed_sequence_spec()
         pvalues = {label: 0.001 for label in TABLE_PVALUES}

@@ -298,6 +298,83 @@ class TestSweep:
         assert 0.0 <= float(fwer) <= 1.0 and float(se) >= 0.0
 
 
+class TestRankingCache:
+    """A sweep ranks each family's p-values once per own shifts and block,
+    and decides every config's mask from that ranking at its own level."""
+
+    @staticmethod
+    def every_kind_strategies():
+        # Every kind, equal- and unequal-weight Holm included, in families
+        # of 1-4 hypotheses, at their own level or at a passed-on one.
+        return [
+            gk.make_spec(0.05, [
+                [("F1", ["A1", "A2"], 0.03, proc.truncated_hochberg(0.5))],
+                [("F2", ["A3", "A4", "A5"], 0.01, proc.holm())],
+                [("F3", ["A6"], 0.01, proc.fixed_sequence(["A6"]))],
+            ], {("F1", "F2"): 0.7, ("F1", "F3"): 0.3, ("F2", "F3"): 1.0}),
+            gk.make_spec(0.05, [
+                [("F1", ["B1", "B2", "B3"], 0.04, proc.holm([0.2, 0.3, 0.5]))],
+                [("F2", ["B4", "B5", "B6", "B7"], 0.01, proc.truncated_holm(0.3))],
+            ], {("F1", "F2"): 1.0}),
+            gk.make_spec(0.05, [
+                [("F1", ["C1", "C2"], 0.04, proc.bonferroni([0.6, 0.4])),
+                 ("F2", ["C3"], 0.01, proc.hochberg())],
+                [("F3", ["C4", "C5", "C6", "C7"], 0.0, proc.hochberg())],
+            ], {("F1", "F3"): 0.5, ("F2", "F3"): 1.0}),
+            gk.make_spec(0.05, [
+                [("F1", ["D1", "D2"], 0.05, proc.fixed_sequence(["D2", "D1"]))],
+                [("F2", ["D3", "D4", "D5"], 0.0, proc.holm([0.5, 0.25, 0.25])),
+                 ("F3", ["D6", "D7"], 0.0, proc.truncated_holm(0.0))],
+            ], {("F1", "F2"): 0.5, ("F1", "F3"): 0.5}),
+        ]
+
+    @pytest.mark.parametrize("budget", [None, 2 * 4 * 200])
+    def test_shuffled_sweep_of_every_mask_matches_simulate(self, monkeypatch, budget):
+        # The small budget holds two rankings of a four-hypothesis family:
+        # most rankings are evicted and made again.
+        import itertools
+        import random
+
+        if budget is not None:
+            monkeypatch.setattr(mcsim, "_RANK_BUDGET", budget)
+        configs = []
+        for spec in self.every_kind_strategies():
+            labels = spec.labels()
+            masks = itertools.product((True, False), repeat=len(labels))
+            for delta, bits in itertools.product((2.0, 3.0), masks):
+                truth = {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)}
+                configs.append(SimConfig(spec, truth, PValueModel(delta=delta), 200, 3))
+        random.Random(2).shuffle(configs)
+        assert mcsim.sweep(configs) == [mcsim.simulate_fwer(c) for c in configs]
+
+    def test_memory_stays_within_the_budget_and_one_block(self):
+        import itertools
+        import tracemalloc
+
+        labels = [f"H{k}" for k in range(1, 10)]
+        spec = gk.make_spec(0.05, [[("F1", labels, 0.05, proc.truncated_holm(0.5))]])
+        configs = [
+            SimConfig(spec, {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)},
+                      PValueModel(), mcsim._BLOCK, 5)
+            for bits in itertools.product((True, False), repeat=9)
+        ]
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                mcsim.sweep(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # One block's working set: the scores, both p-values of every
+        # column, and two rankings; 1 MB more holds the 512 results. Each
+        # mask has its own ranking (1.2 MB), so holding them all would take
+        # about 600 MB.
+        block = peak([configs[0], configs[-1]])
+        assert peak(configs) <= 8 * mcsim._RANK_BUDGET + block + 1e6
+
+
 class TestStrongControl:
     def test_case_family_forms_all_masks(self):
         # the small benchmark strategies, every truth assignment
