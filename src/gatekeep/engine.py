@@ -136,6 +136,8 @@ def step(
     if family not in state.current_alpha:
         raise ValueError(f"state has no level for family {family!r}")
     level = state.current_alpha[family]
+    if not pvalues.keys() >= set(fam.labels):
+        raise ValueError(f"missing p-values for {sorted(set(fam.labels) - pvalues.keys())}")
     _check_pvalues((fam,), pvalues)
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level {level!r} outside [0, 1]")

@@ -25,26 +25,24 @@ needs numpy only.
 
 The replicate loop does not call the scalar engine, but runs off the same
 plan (`GraphSpec.plan`: families, kernels, in- and out-edges, and the
-column layout: `order` and each family's `columns`). `batch_run`,
-`simulate_fwer` and `sweep` evaluate all replicates at once with one
-evaluator, whose batch drivers read each family's thresholds and capped
-bound from its kernel, as the scalar engine does, so the formulas exist
-once. A family's p-values are held one row per column and every step works
-on whole columns. A family whose thresholds depend on the rank alone
-(Hochberg, truncated Hochberg, truncated Holm, Holm with equal weights) is
-decided from its ranking, which does not depend on the level: a sweep
-ranks it once per block and own shifts, within a fixed budget of values,
-and each config compares that ranking with its own thresholds. Agreement
-tests hold the two drivers to each other, and the hypothesis-level oracle
-and the lattice reference check the formulas independently.
+column layout: `order` and each family's `columns`) and the same kernel
+rules: thresholds, bound, rank thresholds and the fixed-sequence walk.
+`batch_run`, `simulate_fwer` and `sweep` evaluate all replicates at once,
+a family's p-values one row per column. A family decided by rank
+(`Kernel.by_rank`) is ranked once per sweep block and own shifts, within a
+fixed budget of values, and each config cuts that ranking at its own
+thresholds. Only the step-down rounds of Bonferroni and weighted Holm have
+a batch form of their own. The hypothesis-level oracle, the lattice
+reference and the written-out references in the tests check the rules
+apart from either engine.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from json.decoder import WHITESPACE
 from typing import Mapping, Sequence
 
@@ -55,7 +53,7 @@ import numpy as np
 from .errors import SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, spec_to_json
 from .jsontext import dumps, fields, finite, integer, loads, string
-from .procedures import Kernel
+from .procedures import STEP_DOWN, Kernel
 
 MODEL_KINDS = ("independent_uniform", "equicorrelated_normal")
 
@@ -434,9 +432,12 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
         for src, g in sources:
             level = level + outcomes[src].spendable * g
         kernel = plan.kernels[fam.name]
-        ranked = _rank(kernel, p, ranks, (id(plan), fam.name, key[0]))
-        driver = _in_sequence if kernel.kind == "fixed_sequence" else _fixed_point
-        rej = driver(kernel, p, level) if ranked is None else _by_rank(kernel, p, level, ranked)
+        if kernel.by_rank:
+            rej = _by_rank(kernel, p, level, _rank(p, ranks, (id(plan), fam.name, key[0])))
+        elif kernel.kind == "fixed_sequence":
+            rej = np.array(kernel.in_sequence(p, level))
+        else:
+            rej = _fixed_point(kernel, p, level)
         spendable = None
         if plan.edges[fam.name]:
             accepted = ~rej
@@ -476,16 +477,13 @@ def _row_sum(mask: np.ndarray, w) -> np.ndarray:
     return total
 
 
-def _rank(kernel: Kernel, p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray | None:
-    """Each replicate's p-values in ascending order (one row per rank), for
-    a kernel whose thresholds depend on the rank alone; None for the others.
+def _rank(p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray:
+    """Each replicate's p-values in ascending order (one row per rank).
 
     A ranking does not depend on the level, so `ranks` keeps it, keyed by
     (plan, family, own shifts), for the other configs of the block; least
     recently used first, and at most `_RANK_BUDGET` values in all.
     """
-    if kernel.kind in ("bonferroni", "fixed_sequence") or len(set(kernel.weights or ())) > 1:
-        return None
     ranked = None if ranks is None else ranks.pop(key, None)
     if ranked is None:
         ranked = np.sort(p, axis=0)
@@ -496,27 +494,19 @@ def _rank(kernel: Kernel, p: np.ndarray, ranks: dict | None, key: tuple) -> np.n
     return ranked
 
 
-# The batch drivers: procedures' scalar drivers over replicates, with `p`
-# one row per column, `level` one level per replicate, and thresholds from
-# the kernel. No reduction runs along the short axis (family size).
+# The batch forms of procedures' scalar decisions, with `p` one row per
+# column, `level` one level per replicate, and thresholds from the kernel.
+# No reduction runs along the short axis (family size).
 
 
 def _by_rank(kernel: Kernel, p: np.ndarray, level: np.ndarray, ranked: np.ndarray) -> np.ndarray:
-    # Step-up (Hochberg) rejects every p at or below the largest ranked p
-    # that clears its threshold; step-down (truncated Holm, Holm with equal
-    # weights) the cleared prefix of the ranking: its thresholds only grow
-    # as the count in play falls, and an equal-weight total is a fold of
-    # equal terms, so that prefix is the scalar driver's fixed point.
-    # Thresholds rise with rank, so no tie straddles the cut.
-    n = kernel.n
-    w = kernel.weights and kernel.weights[0]
-    totals = list(accumulate([w] * n)) if w else [None] * n  # weight in play, by count - 1
+    # The step-up cut or step-down prefix of procedures._by_rank, one
+    # replicate per column.
     cut = np.full(level.shape, -1.0)
     cleared = True
-    for i, r in enumerate(ranked):
-        thr = kernel.threshold(level, n - i, w, totals[n - 1 - i])
+    for r, thr in zip(ranked, kernel.rank_thresholds(level)):
         ok = (r <= thr) & (thr > 0.0)
-        if kernel.kind in ("holm", "truncated_holm"):
+        if kernel.kind in STEP_DOWN:
             ok = cleared = cleared & ok
         cut = np.where(ok, r, cut)
     return p <= cut
@@ -525,7 +515,7 @@ def _by_rank(kernel: Kernel, p: np.ndarray, level: np.ndarray, ranked: np.ndarra
 def _fixed_point(kernel: Kernel, p: np.ndarray, level: np.ndarray) -> np.ndarray:
     # Step-down with a threshold per weight (Bonferroni, weighted Holm):
     # reject every hypothesis in play that clears its threshold, until none
-    # does, as the scalar driver (Bonferroni in one round).
+    # does, as the scalar rounds do (Bonferroni in one round).
     weight = np.array(kernel.weights)[:, None]
     active = np.ones(p.shape, dtype=bool)
     for _ in range(1 if kernel.kind == "bonferroni" else kernel.n):
@@ -541,15 +531,6 @@ def _fixed_point(kernel: Kernel, p: np.ndarray, level: np.ndarray) -> np.ndarray
             break
         active &= ~cleared
     return ~active
-
-
-def _in_sequence(kernel: Kernel, p: np.ndarray, level: np.ndarray) -> np.ndarray:
-    thr = kernel.threshold(level)
-    ok = thr > 0.0
-    rejected = np.empty(p.shape, dtype=bool)
-    for k in kernel.order:
-        ok = rejected[k] = ok & (p[k] <= thr)
-    return rejected
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +553,19 @@ def sim_config_to_json(config: SimConfig) -> str:
     return dumps(obj)
 
 
-def _config_from_obj(obj, seed: int | None, specs: dict[str, GraphSpec]) -> SimConfig:
-    """Build one config; `specs` holds the specs parsed so far, by JSON text,
-    so that configs sharing a strategy share one GraphSpec."""
+def _config_from_obj(obj, seed: int | None, specs: dict[bytes, GraphSpec]) -> SimConfig:
+    """Build one config; `specs` holds the specs parsed so far, by the
+    `marshal` bytes of their JSON value (which keep bool, int and float
+    apart), so that configs sharing a strategy share one GraphSpec."""
     obj = fields(obj, ("spec", "truth", "reps"), "config", ("model", "seed"))
     try:
-        spec_text = json.dumps(obj["spec"])
-    except RecursionError as exc:  # a list element nested as deep as json.loads allows
+        key = marshal.dumps(obj["spec"])
+        spec_text = None if key in specs else json.dumps(obj["spec"])
+    except (ValueError, RecursionError) as exc:  # nested deeper than either writes
         raise SpecFormatError(f"not valid JSON: {exc}") from None
-    if spec_text not in specs:
-        specs[spec_text] = spec_from_json(spec_text)
-    spec = specs[spec_text]
+    if spec_text is not None:
+        specs[key] = spec_from_json(spec_text)
+    spec = specs[key]
     truth = obj["truth"]
     if not isinstance(truth, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in truth.items()
@@ -616,7 +599,7 @@ def sim_configs_from_json(text: str, seed: int | None = None) -> list[SimConfig]
     the next element is decoded, so only one element's tree is held. It
     accepts exactly what `json.loads` accepts.
     """
-    specs: dict[str, GraphSpec] = {}
+    specs: dict[bytes, GraphSpec] = {}
     skip = WHITESPACE.match
     i = skip(text).end()
     if text[i:i + 1] != "[":

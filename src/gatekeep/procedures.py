@@ -7,10 +7,10 @@ an upper bound e*(A) on the probability of rejecting at least one hypothesis
 in an index set A; the unspent part of a family's critical value,
 level - e*(accepted), is what gets transferred to later families.
 
-Each procedure's thresholds and capped bound are written once, in `Kernel`.
-The scalar drivers here (Bonferroni runs the step-down one) and the batch
-drivers in `mcsim` call it; `test_family` and `error_rate_bound` validate
-their input and run it.
+Each procedure's rules are written once, in `Kernel`, as plain arithmetic
+over a float or a numpy column of levels: thresholds, capped bound, rank
+thresholds and the fixed-sequence walk. Both engines read them, and nothing
+here imports numpy; `test_family` and `error_rate_bound` validate and run.
 
 Conventions used throughout:
   * hypothesis indices are 1-based positions in the family's label list;
@@ -23,6 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from itertools import accumulate, compress
 from typing import Iterable, NamedTuple, Sequence
 
 KINDS = (
@@ -36,6 +37,7 @@ KINDS = (
 
 _TRUNCATED = {"truncated_holm", "truncated_hochberg"}
 _WEIGHTED = {"bonferroni", "holm"}
+STEP_DOWN = {"holm", "truncated_holm"}  # of the kinds decided by rank; the others step up
 
 _WEIGHT_TOL = 1e-12
 
@@ -131,10 +133,10 @@ def check_procedure(
 
 class Kernel(NamedTuple):
     """A procedure resolved for one family of `n` hypotheses, with its
-    threshold and e* formulas written as plain arithmetic: `level` may be a
-    float or a numpy column of levels (one per replicate), and the other
-    arguments numbers or arrays that broadcast against it. Build kernels
-    only from procedures that `check_procedure` accepts.
+    thresholds, e* and fixed-sequence walk written as plain arithmetic:
+    `level` may be a float or a numpy column of levels (one per replicate),
+    and the other arguments numbers or arrays that broadcast against it.
+    Build kernels only from procedures that `check_procedure` accepts.
     """
 
     kind: str
@@ -142,6 +144,7 @@ class Kernel(NamedTuple):
     gamma: float | None
     weights: tuple[float, ...] | None  # bonferroni and holm: given or equal
     order: tuple[int, ...] | None  # fixed_sequence: 0-based positions in testing order
+    by_rank: bool  # decided by its ranked p-values; see rank_thresholds
 
     @classmethod
     def of(
@@ -156,14 +159,14 @@ class Kernel(NamedTuple):
         if proc.kind == "fixed_sequence" and labels is not None:
             position = {label: k for k, label in enumerate(labels)}
             order = tuple(position[label] for label in proc.order)
-        return cls(proc.kind, n, proc.gamma, weights, order)
+        by_rank = proc.kind not in ("bonferroni", "fixed_sequence") and len(set(weights or ())) <= 1
+        return cls(proc.kind, n, proc.gamma, weights, order, by_rank)
 
     def threshold(self, level, rest=None, weight=None, total=None):
         """One hypothesis's critical value at `level`.
 
-        `rest` counts the hypotheses in play: those not yet rejected
-        (step-down), or those ranked at or after this one by p-value
-        (step-up). `weight` is the hypothesis's weight and `total` the
+        `rest` counts the hypotheses in play: those ranked at or after this
+        one by p-value. `weight` is the hypothesis's weight and `total` the
         weight still in play. Each kind reads only what it needs.
         """
         kind = self.kind
@@ -188,11 +191,35 @@ class Kernel(NamedTuple):
             return level * (count > 0)  # holm, hochberg, fixed_sequence
         return e * (e <= level) + level * (level < e)  # min(e, level), on arrays too
 
+    def rank_thresholds(self, level) -> list:
+        """The thresholds of a family decided by rank (Hochberg, truncated
+        Hochberg, truncated Holm, Holm with equal weights), smallest p-value
+        first: at rank i, n - i hypotheses are in play, and an equal-weight
+        Holm's weight in play is n - i equal terms added in order."""
+        w = self.weights and self.weights[0]
+        totals = list(accumulate([w] * self.n)) if w else [None] * self.n
+        return [self.threshold(level, rest, w, totals[rest - 1]) for rest in range(self.n, 0, -1)]
+
+    def in_sequence(self, p, level) -> list:
+        """Fixed sequence, by position: each hypothesis is rejected when it
+        and every one before it in the testing order clear the level. `p`
+        holds one float, or one column, per position."""
+        thr = self.threshold(level)
+        ok = thr > 0.0
+        rejected = [None] * self.n
+        for k in self.order:
+            ok = rejected[k] = ok & (p[k] <= thr)
+        return rejected
+
     def test(self, p: Sequence[float], level: float) -> frozenset[int]:
         """The 1-based indices of the hypotheses rejected at `level`."""
         if level <= 0.0:
             return frozenset()
-        return _DRIVERS[self.kind](self, p, level)
+        if self.by_rank:
+            return _by_rank(self, p, level)
+        if self.kind == "fixed_sequence":
+            return frozenset(compress(range(1, self.n + 1), self.in_sequence(p, level)))
+        return _fixed_point(self, p, level)
 
     def e_star(self, level: float, accepted: Sequence[int]) -> float:
         """e*(accepted) at `level`; `accepted` holds 1-based indices in
@@ -200,63 +227,43 @@ class Kernel(NamedTuple):
         return self.bound(level, len(accepted), lambda w: sum(w[k - 1] for k in accepted))
 
 
-def _le_positive(p: float, threshold: float) -> bool:
-    # <= convention, but a zero threshold rejects nothing.
-    return threshold > 0.0 and p <= threshold
+def _by_rank(kernel: Kernel, p, level) -> frozenset[int]:
+    # Step-up (the Hochberg kinds) rejects every p at or below the largest
+    # ranked p that clears its threshold, step-down (truncated Holm, Holm
+    # with equal weights) the cleared prefix of the ranking: its thresholds
+    # grow as the count in play falls, so that prefix is the fixed point of
+    # the rounds. Thresholds rise with rank, so no tie straddles the cut.
+    cut = -1.0
+    for x, thr in zip(sorted(p), kernel.rank_thresholds(level)):
+        if thr > 0.0 and x <= thr:
+            cut = x
+        elif kernel.kind in STEP_DOWN:
+            break
+    return frozenset([k for k, x in enumerate(p, 1) if x <= cut])
 
 
 def _fixed_point(kernel: Kernel, p, level) -> frozenset[int]:
-    # Step-down: reject every hypothesis in play that clears its threshold,
-    # until none does. Rejecting one only raises the others' thresholds, so
-    # this is the one-at-a-time walk; testing only the smallest p / w would
-    # stop early where two ratios round to a tie. Bonferroni's thresholds
-    # never move, so it stops after one round: the single step.
+    # Step-down with a threshold per weight (Bonferroni, weighted Holm):
+    # reject every hypothesis in play that clears its threshold, until none
+    # does. Rejecting one only raises the others' thresholds, so this is the
+    # one-at-a-time walk; testing only the smallest p / w would stop early
+    # where two ratios round to a tie. Bonferroni's thresholds never move,
+    # so it stops after one round: the single step.
     w = kernel.weights
     remaining = list(range(kernel.n))
     for _ in range(1 if kernel.kind == "bonferroni" else kernel.n):
         # Holm divides by the weight in play; when that is 0, only zero
         # weights are left, and they clear nothing.
         total = (sum(w[k] for k in remaining) or 1.0) if kernel.kind == "holm" else None
-        rest = len(remaining)
         cleared = {
             k
             for k in remaining
-            if _le_positive(p[k], kernel.threshold(level, rest, w[k] if w else None, total))
+            if (thr := kernel.threshold(level, None, w[k], total)) > 0.0 and p[k] <= thr
         }
         if not cleared:
             break
         remaining = [k for k in remaining if k not in cleared]
     return frozenset(range(1, kernel.n + 1)) - {k + 1 for k in remaining}
-
-
-def _step_up(kernel: Kernel, p, level) -> frozenset[int]:
-    # Rank the p-values and reject every one at or below the largest that
-    # clears its threshold. Thresholds rise with rank, so a tie never
-    # straddles that cut.
-    n = kernel.n
-    cleared = [
-        x for i, x in enumerate(sorted(p)) if _le_positive(x, kernel.threshold(level, n - i))
-    ]
-    return frozenset(k + 1 for k in range(n) if cleared and p[k] <= cleared[-1])
-
-
-def _in_sequence(kernel: Kernel, p, level) -> frozenset[int]:
-    rejected = set()
-    for k in kernel.order:
-        if not _le_positive(p[k], kernel.threshold(level)):
-            break
-        rejected.add(k + 1)
-    return frozenset(rejected)
-
-
-_DRIVERS = {
-    "bonferroni": _fixed_point,
-    "holm": _fixed_point,
-    "truncated_holm": _fixed_point,
-    "hochberg": _step_up,
-    "truncated_hochberg": _step_up,
-    "fixed_sequence": _in_sequence,
-}
 
 
 class FamilyTestInput(NamedTuple):
@@ -274,6 +281,8 @@ class FamilyTestInput(NamedTuple):
 def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int]:
     """Run the procedure; return the 1-based indices of rejected hypotheses."""
     n = len(inp.pvalues)
+    if inp.labels is not None and len(inp.labels) != n:
+        raise ValueError(f"{len(inp.labels)} labels for {n} p-values")
     problems = check_procedure(proc, n, inp.labels)
     if problems:
         raise ValueError("; ".join(problems))

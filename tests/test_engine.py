@@ -228,6 +228,11 @@ class TestStep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             step(spec, state, "F1", {"H1": 0.01, "H2": 0.01})
 
+    def test_pvalue_map_missing_a_family_label(self):
+        spec = gk.make_spec(0.05, [[("F1", ["H1", "H2", "H3"], 0.05, proc.holm())]])
+        with pytest.raises(ValueError, match=r"^missing p-values for \['H2', 'H3'\]$"):
+            step(spec, initial_state(spec), "F1", {"H1": 0.01})
+
     @pytest.mark.parametrize("level", [1.5, -0.01, float("nan")])
     def test_hand_edited_level_outside_unit_interval(self, level):
         spec = self.bonferroni_chain()

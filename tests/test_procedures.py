@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gatekeep as gk
+from gatekeep import mcsim
 from gatekeep import procedures as proc
 from gatekeep.procedures import FamilyTestInput, error_rate_bound
 from gatekeep.procedures import test_family as run_local_test
@@ -172,6 +173,24 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="needs the family's hypothesis labels"):
             rejects(proc.fixed_sequence(["A", "B"]), (0.01, 0.02), 0.05)
 
+    @pytest.mark.parametrize("kind_spec", [
+        proc.bonferroni(),
+        proc.holm(),
+        proc.truncated_holm(0.5),
+        proc.hochberg(),
+        proc.truncated_hochberg(0.5),
+        proc.fixed_sequence(["a", "b"]),
+    ])
+    @pytest.mark.parametrize("pvalues, labels, message", [
+        ((0.01,), ("a", "b"), "2 labels for 1 p-values"),
+        ((0.01, 0.02), ("a",), "1 labels for 2 p-values"),
+    ])
+    def test_labels_of_another_length_refused(self, kind_spec, pvalues, labels, message):
+        if kind_spec.kind == "fixed_sequence":
+            kind_spec = proc.fixed_sequence(labels)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rejects(kind_spec, pvalues, 0.05, labels=labels)
+
 
 class TestErrorRateBound:
     def test_holm_nonempty_is_full_level(self):
@@ -270,6 +289,50 @@ def closed_bonferroni(p, level):
     return frozenset(out)
 
 
+# Truncated Holm and truncated Hochberg written out (Dmitrienko, Tamhane &
+# Wiens 2008), with the threshold at `rest` hypotheses in play computed by
+# the same float expression as the kernel, so that exact ties decide alike.
+
+def truncated_threshold(gamma, rest, n, level):
+    return (gamma / rest + (1.0 - gamma) / n) * level
+
+
+def truncated_holm_walk(p, gamma, level):
+    # One hypothesis at a time: the smallest p-value left against the
+    # threshold at the count still in play, stopping at the first failure.
+    n = len(p)
+    rejected = set()
+    for k in sorted(range(n), key=lambda k: (p[k], k)):
+        thr = truncated_threshold(gamma, n - len(rejected), n, level)
+        if not (thr > 0.0 and p[k] <= thr):
+            break
+        rejected.add(k + 1)
+    return frozenset(rejected)
+
+
+def truncated_hochberg_enumeration(p, gamma, level):
+    # The largest rank i whose p-value clears the threshold at n - i + 1
+    # in play; the i smallest p-values are rejected.
+    n = len(p)
+    best = 0
+    for i in range(1, n + 1):
+        thr = truncated_threshold(gamma, n - i + 1, n, level)
+        if thr > 0.0 and sorted(p)[i - 1] <= thr:
+            best = i
+    return frozenset(k + 1 for k in sorted(range(n), key=lambda k: (p[k], k))[:best])
+
+
+def truncated_lattice(rng, gamma, n, level, rows):
+    """`rows` p-vectors drawn from the family's thresholds, one ulp either
+    side of each, and 1, with repeats: p-values tie with thresholds and with
+    each other."""
+    points = [1.0]
+    for rest in range(1, n + 1):
+        t = truncated_threshold(gamma, rest, n, level)
+        points += [float(np.nextafter(t, -np.inf)), t, float(np.nextafter(t, np.inf))]
+    return [tuple(points[i] for i in rng.integers(len(points), size=n)) for _ in range(rows)]
+
+
 class TestAgainstBruteForce:
     def test_holm_equals_closed_testing(self, rng):
         for _ in range(600):
@@ -277,6 +340,25 @@ class TestAgainstBruteForce:
             p = tuple(float(x) for x in rng.uniform(0, 0.5, n).round(4))
             level = float(rng.uniform(0.01, 0.4))
             assert rejects(proc.holm(), p, level) == closed_bonferroni(p, level)
+
+    @pytest.mark.parametrize("kind, reference", [
+        ("truncated_holm", truncated_holm_walk),
+        ("truncated_hochberg", truncated_hochberg_enumeration),
+    ])
+    def test_truncated_kinds_match_the_written_out_rule_on_the_lattice(self, rng, kind, reference):
+        for _ in range(80):
+            n = int(rng.integers(1, 7))
+            gamma = float(rng.choice([0.0, float(rng.uniform(0.0, 1.0))]))
+            level = float(rng.uniform(0.01, 0.5))
+            procedure = gk.LocalProcedureSpec(kind, gamma=gamma)
+            labels = [f"H{k}" for k in range(1, n + 1)]
+            rows = truncated_lattice(rng, gamma, n, level, 12)
+            spec = gk.make_spec(level, [[("F1", labels, level, procedure)]])
+            batch = mcsim.batch_run(spec, np.array(rows))
+            for p, batch_row in zip(rows, batch):
+                expect = reference(p, gamma, level)
+                assert rejects(procedure, p, level) == expect, (gamma, level, p)
+                assert {k + 1 for k in np.flatnonzero(batch_row)} == expect, (gamma, level, p)
 
 
 dyadic = st.integers(0, 1024).map(lambda k: k / 1024.0)
