@@ -13,19 +13,21 @@ callers can fork execution paths; a fork with other transition coefficients
 is a spec with other transitions (`spec._replace(transitions=...)`), which
 is validated like any spec. `replay` re-derives every level, bound
 and transfer from a report's rejection sets, catching corrupted or
-hand-edited reports. All three apply one update rule, `_advance`, and test
-with the kernels of the spec's plan (`GraphSpec.plan`), which is validated
-and resolved once per spec object.
+hand-edited reports. All three test with the kernels of the spec's plan
+(`GraphSpec.plan`), validated and resolved once per spec object, build an
+outcome's label sets from the kernel's flags by position, and apply one
+update rule, `_advance`, to the accepted flags.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from itertools import compress
+from typing import Mapping, NamedTuple
 
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
 from .jsontext import fields, finite, list_of, loads, nested, string
-from .procedures import Kernel
+from .procedures import Kernel, check_pvalues
 
 REPLAY_TOL = 1e-12
 
@@ -72,19 +74,11 @@ def initial_state(spec: GraphSpec) -> ExecutionState:
     )
 
 
-def _check_pvalues(families: Iterable[FamilySpec], pvalues: Mapping[str, float]) -> None:
-    for fam in families:
-        for k, label in enumerate(fam.labels, start=1):
-            p = pvalues[label]
-            if not 0.0 <= p <= 1.0:  # NaN included
-                raise ValueError(f"p-value {p!r} at position {k} outside [0, 1]")
-
-
 def _advance(kernel: Kernel, level: float, accepted, edges):
     """The update rules after testing a family at `level`: its bound
-    e*(accepted), `accepted` in ascending order, and one transfer of
+    e*(accepted), `accepted` a flag per position, and one transfer of
     (level - e*) * g per (target, g) edge, in edge order."""
-    e_star = kernel.e_star(level, accepted)
+    e_star = kernel.bound(level, accepted)
     spare = level - e_star
     return e_star, tuple([Transfer(dst, spare * g) for dst, g in edges])
 
@@ -92,16 +86,13 @@ def _advance(kernel: Kernel, level: float, accepted, edges):
 def _test(
     fam: FamilySpec, kernel: Kernel, level: float, pvalues: Mapping[str, float], edges
 ) -> FamilyOutcome:
-    """Test `fam` at `level` and advance along `edges`."""
-    labels = fam.labels
-    rejected_idx = kernel.test(tuple(map(pvalues.__getitem__, labels)), level)
-    if rejected_idx:
-        accepted_idx = [k for k in range(1, fam.size + 1) if k not in rejected_idx]
-        rejected = frozenset([labels[k - 1] for k in rejected_idx])
-        accepted = frozenset([labels[k - 1] for k in accepted_idx])
-    else:
-        accepted_idx, rejected, accepted = range(1, fam.size + 1), frozenset(), frozenset(labels)
-    e_star, transfers = _advance(kernel, level, accepted_idx, edges)
+    """Check `fam`'s p-values, test it at `level` and advance along `edges`."""
+    p = tuple(map(pvalues.__getitem__, fam.labels))
+    check_pvalues(p)
+    flags = kernel.test(p, level)
+    e_star, transfers = _advance(kernel, level, [not f for f in flags], edges)
+    rejected = frozenset(compress(fam.labels, flags))
+    accepted = frozenset(fam.labels) - rejected
     return FamilyOutcome(fam.name, level, rejected, accepted, e_star, transfers)
 
 
@@ -138,7 +129,6 @@ def step(
     level = state.current_alpha[family]
     if not pvalues.keys() >= set(fam.labels):
         raise ValueError(f"missing p-values for {sorted(set(fam.labels) - pvalues.keys())}")
-    _check_pvalues((fam,), pvalues)
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level {level!r} outside [0, 1]")
     edges = plan.edges[family]
@@ -174,7 +164,6 @@ def run(spec: GraphSpec, pvalues: Mapping[str, float]) -> TestReport:
         if extra:
             parts.append(f"p-values for unknown labels {extra}")
         raise ValueError("; ".join(parts))
-    _check_pvalues(plan.families, pvalues)
 
     levels = {fam.name: fam.initial_alpha for fam in plan.families}
     outcomes = []
@@ -223,8 +212,8 @@ def replay(report: TestReport, spec: GraphSpec) -> ValidationOutcome:
             raise ValueError(f"family {name}: rejected/accepted do not partition the hypotheses")
 
         level = levels[name]
-        accepted_idx = [k for k, label in enumerate(fam.labels, start=1) if label in accepted]
-        e_star, transfers = _advance(plan.kernels[name], level, accepted_idx, plan.edges[name])
+        flags = [label in accepted for label in fam.labels]
+        e_star, transfers = _advance(plan.kernels[name], level, flags, plan.edges[name])
         found = []
         if abs(o.level_used - level) > REPLAY_TOL:
             found.append(f"level_used {o.level_used!r}, re-derived {level!r}")

@@ -26,15 +26,15 @@ needs numpy only.
 The replicate loop does not call the scalar engine, but runs off the same
 plan (`GraphSpec.plan`: families, kernels, in- and out-edges, and the
 column layout: `order` and each family's `columns`) and the same kernel
-rules: thresholds, bound, rank thresholds and the fixed-sequence walk.
+rules: thresholds, bound, rank thresholds, the fixed-sequence walk and the
+Bonferroni/weighted-Holm step-down rounds with their weight fold.
 `batch_run`, `simulate_fwer` and `sweep` evaluate all replicates at once,
 a family's p-values one row per column. A family decided by rank
 (`Kernel.by_rank`) is ranked once per sweep block and own shifts, within a
 fixed budget of values, and each config cuts that ranking at its own
-thresholds. Only the step-down rounds of Bonferroni and weighted Holm have
-a batch form of their own. The hypothesis-level oracle, the lattice
-reference and the written-out references in the tests check the rules
-apart from either engine.
+thresholds: only that cut has a batch form of its own. The hypothesis-level
+oracle, the lattice reference and the written-out references in the tests
+check the rules apart from either engine.
 """
 
 from __future__ import annotations
@@ -434,15 +434,12 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
         kernel = plan.kernels[fam.name]
         if kernel.by_rank:
             rej = _by_rank(kernel, p, level, _rank(p, ranks, (id(plan), fam.name, key[0])))
-        elif kernel.kind == "fixed_sequence":
-            rej = np.array(kernel.in_sequence(p, level))
-        else:
-            rej = _fixed_point(kernel, p, level)
+        else:  # a walk over the positions, as the scalar engine takes it
+            walk = kernel.in_sequence if kernel.kind == "fixed_sequence" else kernel.step_down
+            rej = np.array(walk(p, level))
         spendable = None
         if plan.edges[fam.name]:
-            accepted = ~rej
-            bound = kernel.bound(level, accepted.sum(axis=0), lambda w: _row_sum(accepted, w))
-            spendable = level - bound
+            spendable = level - kernel.bound(level, ~rej)
         counts = [int(np.count_nonzero(r)) for r in rej]
         outcomes[fam.name] = _Outcome(rej, spendable, counts, rej[own].any(axis=0))
         memo[fam.name] = (key, outcomes[fam.name])
@@ -467,16 +464,6 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
     return np.concatenate([outcome.rejected for outcome in outcomes.values()]).T
 
 
-def _row_sum(mask: np.ndarray, w) -> np.ndarray:
-    """Per replicate, the sum of w over the columns set in mask, folded in
-    column order as the scalar procedures add it (numpy's own sum goes
-    pairwise from 8 terms, which can differ in the last bit)."""
-    total = np.zeros(mask.shape[1])
-    for m, wj in zip(mask, w):
-        total += np.where(m, wj, 0.0)
-    return total
-
-
 def _rank(p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray:
     """Each replicate's p-values in ascending order (one row per rank).
 
@@ -494,14 +481,10 @@ def _rank(p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray:
     return ranked
 
 
-# The batch forms of procedures' scalar decisions, with `p` one row per
-# column, `level` one level per replicate, and thresholds from the kernel.
-# No reduction runs along the short axis (family size).
-
-
 def _by_rank(kernel: Kernel, p: np.ndarray, level: np.ndarray, ranked: np.ndarray) -> np.ndarray:
-    # The step-up cut or step-down prefix of procedures._by_rank, one
-    # replicate per column.
+    # The step-up cut or step-down prefix of procedures._by_rank, with `p`
+    # one row per column and `level` one level per replicate. No reduction
+    # runs along the short axis (family size).
     cut = np.full(level.shape, -1.0)
     cleared = True
     for r, thr in zip(ranked, kernel.rank_thresholds(level)):
@@ -510,27 +493,6 @@ def _by_rank(kernel: Kernel, p: np.ndarray, level: np.ndarray, ranked: np.ndarra
             ok = cleared = cleared & ok
         cut = np.where(ok, r, cut)
     return p <= cut
-
-
-def _fixed_point(kernel: Kernel, p: np.ndarray, level: np.ndarray) -> np.ndarray:
-    # Step-down with a threshold per weight (Bonferroni, weighted Holm):
-    # reject every hypothesis in play that clears its threshold, until none
-    # does, as the scalar rounds do (Bonferroni in one round).
-    weight = np.array(kernel.weights)[:, None]
-    active = np.ones(p.shape, dtype=bool)
-    for _ in range(1 if kernel.kind == "bonferroni" else kernel.n):
-        # Holm reads the weight in play. A zero weight in play leaves only
-        # zero weights, which clear nothing.
-        total = None
-        if kernel.kind == "holm":
-            total = _row_sum(active, kernel.weights)
-            total = np.where(total > 0.0, total, 1.0)
-        thr = kernel.threshold(level, None, weight, total)
-        cleared = active & (p <= thr) & (thr > 0.0)
-        if not cleared.any():
-            break
-        active &= ~cleared
-    return ~active
 
 
 # ---------------------------------------------------------------------------

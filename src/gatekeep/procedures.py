@@ -8,9 +8,10 @@ in an index set A; the unspent part of a family's critical value,
 level - e*(accepted), is what gets transferred to later families.
 
 Each procedure's rules are written once, in `Kernel`, as plain arithmetic
-over a float or a numpy column of levels: thresholds, capped bound, rank
-thresholds and the fixed-sequence walk. Both engines read them, and nothing
-here imports numpy; `test_family` and `error_rate_bound` validate and run.
+over one float or one numpy column per position: thresholds, weight fold,
+bound, rank thresholds, fixed-sequence walk and step-down rounds. Both
+engines read them; nothing here imports numpy. `test_family` and
+`error_rate_bound` validate and run.
 
 Conventions used throughout:
   * hypothesis indices are 1-based positions in the family's label list;
@@ -23,6 +24,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate, compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -133,9 +135,9 @@ def check_procedure(
 
 class Kernel(NamedTuple):
     """A procedure resolved for one family of `n` hypotheses, with its
-    thresholds, e* and fixed-sequence walk written as plain arithmetic:
-    `level` may be a float or a numpy column of levels (one per replicate),
-    and the other arguments numbers or arrays that broadcast against it.
+    rules written as plain arithmetic: `level` may be a float or a numpy
+    column of levels (one per replicate); p-values and flags hold one such
+    value per position, and other arguments broadcast against `level`.
     Build kernels only from procedures that `check_procedure` accepts.
     """
 
@@ -180,16 +182,27 @@ class Kernel(NamedTuple):
             return (self.gamma / rest + (1.0 - self.gamma) / self.n) * level
         return level  # fixed_sequence
 
-    def bound(self, level, count, weight_sum):
-        """e*(A), capped at `level`, for an accepted set A of `count`
-        hypotheses; `weight_sum(w)` adds w over A in index order."""
+    def bound(self, level, accepted):
+        """e*(A), capped at `level`, for the accepted set A: `accepted`
+        holds one flag, or one column of flags, per position."""
+        count = sum(accepted)
         if self.kind == "bonferroni":
-            e = level * weight_sum(self.weights)
+            e = level * self.weight_in(accepted)
         elif self.kind in _TRUNCATED:
             e = (self.gamma + (1.0 - self.gamma) * count / self.n) * level * (count > 0)
         else:
             return level * (count > 0)  # holm, hochberg, fixed_sequence
         return e * (e <= level) + level * (level < e)  # min(e, level), on arrays too
+
+    def weight_in(self, flags):
+        """The weights at the flagged positions (a flag, or a column of
+        flags, per position), added one at a time in index order: numpy's
+        sum goes pairwise from 8 terms and Python's compensates from 3.12 on,
+        so either can differ in the last bit."""
+        total = 0.0
+        for w, flag in zip(self.weights, flags):
+            total = total + w * flag
+        return total
 
     def rank_thresholds(self, level) -> list:
         """The thresholds of a family decided by rank (Hochberg, truncated
@@ -211,23 +224,48 @@ class Kernel(NamedTuple):
             ok = rejected[k] = ok & (p[k] <= thr)
         return rejected
 
-    def test(self, p: Sequence[float], level: float) -> frozenset[int]:
-        """The 1-based indices of the hypotheses rejected at `level`."""
+    def step_down(self, p, level) -> list:
+        """Bonferroni and weighted Holm, by position: every hypothesis in
+        play that clears its threshold is rejected, round after round. `p`
+        holds one float, or one column, per position.
+
+        Rejecting one only raises the others' thresholds, so this is the
+        one-at-a-time walk; testing only the smallest p / w would stop early
+        where two ratios round to a tie. Bonferroni's thresholds never move,
+        so it takes one round: the single step.
+        """
+        w = self.weights
+        rejected = [False] * self.n
+        for _ in range(1 if self.kind == "bonferroni" else self.n):
+            total = None
+            if self.kind == "holm":
+                # Holm divides by the weight in play; when that is 0, only
+                # zero weights are left, and they clear nothing.
+                total = self.weight_in([r ^ True for r in rejected])
+                total = total + (total == 0.0)
+            cleared = [None] * self.n
+            for k in range(self.n):
+                thr = self.threshold(level, None, w[k], total)
+                cleared[k] = (rejected[k] ^ True) & (thr > 0.0) & (p[k] <= thr)
+            # A round that clears nothing leaves every later one the same. Floats
+            # stop here; a column is never False, so columns run every round.
+            if all(c is False for c in cleared):
+                break
+            rejected = [r | c for r, c in zip(rejected, cleared)]
+        return rejected
+
+    def test(self, p: Sequence[float], level: float) -> list:
+        """Rejection flags by position at `level`."""
         if level <= 0.0:
-            return frozenset()
+            return [False] * self.n
         if self.by_rank:
             return _by_rank(self, p, level)
         if self.kind == "fixed_sequence":
-            return frozenset(compress(range(1, self.n + 1), self.in_sequence(p, level)))
-        return _fixed_point(self, p, level)
-
-    def e_star(self, level: float, accepted: Sequence[int]) -> float:
-        """e*(accepted) at `level`; `accepted` holds 1-based indices in
-        ascending order."""
-        return self.bound(level, len(accepted), lambda w: sum(w[k - 1] for k in accepted))
+            return self.in_sequence(p, level)
+        return self.step_down(p, level)
 
 
-def _by_rank(kernel: Kernel, p, level) -> frozenset[int]:
+def _by_rank(kernel: Kernel, p, level) -> list:
     # Step-up (the Hochberg kinds) rejects every p at or below the largest
     # ranked p that clears its threshold, step-down (truncated Holm, Holm
     # with equal weights) the cleared prefix of the ranking: its thresholds
@@ -239,31 +277,7 @@ def _by_rank(kernel: Kernel, p, level) -> frozenset[int]:
             cut = x
         elif kernel.kind in STEP_DOWN:
             break
-    return frozenset([k for k, x in enumerate(p, 1) if x <= cut])
-
-
-def _fixed_point(kernel: Kernel, p, level) -> frozenset[int]:
-    # Step-down with a threshold per weight (Bonferroni, weighted Holm):
-    # reject every hypothesis in play that clears its threshold, until none
-    # does. Rejecting one only raises the others' thresholds, so this is the
-    # one-at-a-time walk; testing only the smallest p / w would stop early
-    # where two ratios round to a tie. Bonferroni's thresholds never move,
-    # so it stops after one round: the single step.
-    w = kernel.weights
-    remaining = list(range(kernel.n))
-    for _ in range(1 if kernel.kind == "bonferroni" else kernel.n):
-        # Holm divides by the weight in play; when that is 0, only zero
-        # weights are left, and they clear nothing.
-        total = (sum(w[k] for k in remaining) or 1.0) if kernel.kind == "holm" else None
-        cleared = {
-            k
-            for k in remaining
-            if (thr := kernel.threshold(level, None, w[k], total)) > 0.0 and p[k] <= thr
-        }
-        if not cleared:
-            break
-        remaining = [k for k in remaining if k not in cleared]
-    return frozenset(range(1, kernel.n + 1)) - {k + 1 for k in remaining}
+    return [x <= cut for x in p]
 
 
 class FamilyTestInput(NamedTuple):
@@ -286,14 +300,25 @@ def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int
     problems = check_procedure(proc, n, inp.labels)
     if problems:
         raise ValueError("; ".join(problems))
-    for k, p in enumerate(inp.pvalues, start=1):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p-value {p!r} at position {k} outside [0, 1]")
+    check_pvalues(inp.pvalues)
     if not 0.0 <= inp.level <= 1.0:
         raise ValueError(f"level {inp.level!r} outside [0, 1]")
     if proc.kind == "fixed_sequence" and inp.labels is None and inp.level > 0.0:
         raise ValueError("fixed_sequence needs the family's hypothesis labels")
-    return Kernel.of(proc, n, inp.labels).test(inp.pvalues, inp.level)
+    kernel = Kernel.of(proc, n, inp.labels)
+    return frozenset(compress(range(1, n + 1), kernel.test(inp.pvalues, inp.level)))
+
+
+def check_pvalues(pvalues: Iterable) -> None:
+    """Refuse a p-value that is not a number in [0, 1] (NaN, None and
+    strings included), naming its 1-based position."""
+    for k, p in enumerate(pvalues, start=1):
+        try:
+            ok = 0.0 <= p <= 1.0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"p-value {p!r} at position {k} outside [0, 1]")
 
 
 def error_rate_bound(
@@ -308,7 +333,11 @@ def error_rate_bound(
     never exceeds `level`; the gap level - e*(A) is the amount a family can
     pass on after testing.
     """
-    a = frozenset(accepted)
+    accepted = list(accepted)
+    try:
+        a = frozenset(map(operator.index, accepted))
+    except TypeError:
+        raise ValueError(f"accepted set {accepted!r} holds a non-integer") from None
     if any(not 1 <= k <= n for k in a):
         raise ValueError(f"accepted set {sorted(a)} not within 1..{n}")
     if not 0.0 <= level <= 1.0:
@@ -316,4 +345,4 @@ def error_rate_bound(
     problems = check_procedure(proc, n)
     if problems:
         raise ValueError("; ".join(problems))
-    return Kernel.of(proc, n).e_star(level, sorted(a))
+    return Kernel.of(proc, n).bound(level, [k in a for k in range(1, n + 1)])

@@ -169,6 +169,15 @@ def random_pvalues(rng: np.random.Generator, spec: gk.GraphSpec) -> dict[str, fl
     }
 
 
+def fold(values) -> float:
+    """Added left to right, one term at a time, as the kernel adds weights
+    (from Python 3.12 on, `sum` compensates and can differ in the last bit)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def rejected_labels(report: gk.TestReport) -> frozenset[str]:
     return frozenset(l for l, d in report.decisions.items() if d == "S")
 

@@ -103,6 +103,15 @@ class TestGoldenRuns:
         with pytest.raises(ValueError, match="at position 2 outside"):
             gk.run(spec, {**TABLE_PVALUES, "H32": bad})
 
+    @pytest.mark.parametrize("bad", [None, "0.5", [0.5]])
+    def test_pvalue_that_is_not_a_number_raises(self, bad):
+        spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05, proc.holm())]])
+        message = rf"^p-value {re.escape(repr(bad))} at position 1 outside"
+        with pytest.raises(ValueError, match=message):
+            gk.run(spec, {"H1": bad, "H2": 0.5})
+        with pytest.raises(ValueError, match="at position 2 outside"):
+            step(spec, initial_state(spec), "F1", {"H1": 0.5, "H2": bad})
+
 
 class TestStep:
     def singleton_gate(self):

@@ -15,6 +15,7 @@ from gatekeep.procedures import Kernel
 
 from conftest import (
     all_true_null,
+    fold,
     parallel_split_spec,
     random_spec,
     three_layer_step_up_spec,
@@ -488,7 +489,7 @@ class TestBatchAgreesWithEngine:
             spec = gk.make_spec(0.05, [[("F1", labels, 0.05, proc.holm(w))]])
             k = int(np.argmax(w))
             pmat = np.ones((1, 9))
-            pmat[0, k] = w[k] / sum(w) * 0.05  # the engine's first-step threshold
+            pmat[0, k] = w[k] / fold(w) * 0.05  # the engine's first-step threshold
             report = gk.run(spec, dict(zip(labels, pmat[0])))
             assert report.decisions[labels[k]] == "S"
             expect = [report.decisions[l] == "S" for l in labels]
@@ -506,7 +507,7 @@ class TestBatchAgreesWithEngine:
         assert len(calls) == 2  # one threshold per hypothesis
         calls.clear()
         assert mcsim.batch_run(spec, np.array([[0.001, 0.9]]))[0].tolist() == [True, False]
-        assert len(calls) == 1  # one threshold matrix
+        assert len(calls) == 2  # one threshold column per hypothesis; a second round makes 4
 
     def test_batch_run_validates(self):
         spec = gk.make_spec(0.05, [[("F1", ["H1"], 0.2, proc.bonferroni())]])

@@ -13,6 +13,8 @@ from gatekeep import procedures as proc
 from gatekeep.procedures import FamilyTestInput, error_rate_bound
 from gatekeep.procedures import test_family as run_local_test
 
+from conftest import fold
+
 
 def rejects(kind_spec, pvalues, level, labels=None):
     return run_local_test(kind_spec, FamilyTestInput(tuple(pvalues), level, labels))
@@ -121,6 +123,11 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="outside"):
             rejects(proc.holm(), (0.01, 1.2), 0.05)
 
+    @pytest.mark.parametrize("bad", [None, "0.5", [0.5]])
+    def test_p_that_is_not_a_number(self, bad):
+        with pytest.raises(ValueError, match="at position 2 outside"):
+            rejects(proc.holm(), (0.01, bad), 0.05)
+
     def test_level_out_of_range(self):
         with pytest.raises(ValueError, match="level"):
             rejects(proc.holm(), (0.01,), 1.5)
@@ -228,6 +235,11 @@ class TestErrorRateBound:
         with pytest.raises(ValueError, match="within"):
             error_rate_bound(proc.holm(), {4}, 3, 0.05)
 
+    @pytest.mark.parametrize("bad", [None, 1.0, "1"])
+    def test_accepted_entry_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match="holds a non-integer"):
+            error_rate_bound(proc.bonferroni(), [2, bad], 3, 0.05)
+
     @pytest.mark.parametrize("level", [1.5, -0.01, float("nan")])
     def test_level_outside_unit_interval(self, level):
         with pytest.raises(ValueError, match=r"^level .* outside \[0, 1\]$"):
@@ -333,6 +345,70 @@ def truncated_lattice(rng, gamma, n, level, rows):
     return [tuple(points[i] for i in rng.integers(len(points), size=n)) for _ in range(rows)]
 
 
+# Bonferroni and weighted Holm written out: one hypothesis at a time, any
+# hypothesis in play that clears w_k / total * level (w_k * level for
+# Bonferroni) is rejected, until none does. The weight in play is folded in
+# index order, as the kernel folds it, so that exact ties decide alike; with
+# only zero weights in play, nothing clears.
+
+def weighted_threshold(kind, w, k, in_play, level):
+    if kind == "bonferroni":
+        return w[k] * level
+    total = fold(w[j] for j in sorted(in_play))
+    return w[k] / total * level if total > 0.0 else 0.0
+
+
+def weighted_walk(kind, p, w, level):
+    in_play = set(range(len(p)))
+    while True:
+        for k in sorted(in_play):
+            thr = weighted_threshold(kind, w, k, in_play, level)
+            if thr > 0.0 and p[k] <= thr:
+                in_play.remove(k)
+                break
+        else:
+            return frozenset(k + 1 for k in range(len(p)) if k not in in_play)
+
+
+def rounds_that_clear(kind, p, w, level):
+    """How many rounds of simultaneous rejections reach the walk's end."""
+    in_play, rounds = set(range(len(p))), 0
+    while True:
+        thr = {k: weighted_threshold(kind, w, k, in_play, level) for k in in_play}
+        cleared = {k for k in in_play if thr[k] > 0.0 and p[k] <= thr[k]}
+        if not cleared:
+            return rounds
+        in_play -= cleared
+        rounds += 1
+
+
+def unequal_weights(rng, n):
+    """Nonnegative weights summing to 1, not all equal, about a third of
+    them 0 (sometimes all but one)."""
+    while True:
+        raw = rng.uniform(0.05, 1.0, n) * (rng.random(n) > 0.35)
+        if raw.any():
+            w = [float(x) for x in raw / raw.sum()]
+            if n == 1 or len(set(w)) > 1:
+                return tuple(w)
+
+
+def weighted_lattice(rng, kind, w, level, rows):
+    """`rows` p-vectors: each position draws its threshold at some set in
+    play that holds it, one ulp either side of that, 0 or 1."""
+    n = len(w)
+    points = []
+    for k in range(n):
+        own = [0.0, 1.0]
+        for mask in range(1 << n):
+            if mask >> k & 1:
+                t = weighted_threshold(kind, w, k, {j for j in range(n) if mask >> j & 1}, level)
+                below = max(float(np.nextafter(t, -np.inf)), 0.0)
+                own += [below, t, float(np.nextafter(t, np.inf))]
+        points.append(own)
+    return [tuple(own[rng.integers(len(own))] for own in points) for _ in range(rows)]
+
+
 class TestAgainstBruteForce:
     def test_holm_equals_closed_testing(self, rng):
         for _ in range(600):
@@ -359,6 +435,60 @@ class TestAgainstBruteForce:
                 expect = reference(p, gamma, level)
                 assert rejects(procedure, p, level) == expect, (gamma, level, p)
                 assert {k + 1 for k in np.flatnonzero(batch_row)} == expect, (gamma, level, p)
+
+    @pytest.mark.parametrize("kind", ["bonferroni", "holm"])
+    def test_weighted_kinds_match_the_written_out_walk_on_the_lattice(self, rng, kind):
+        rounds = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            w = unequal_weights(rng, n)
+            level = float(rng.uniform(0.01, 0.5))
+            procedure = gk.LocalProcedureSpec(kind, weights=w)
+            labels = [f"H{k}" for k in range(1, n + 1)]
+            rows = weighted_lattice(rng, kind, w, level, 12)
+            spec = gk.make_spec(level, [[("F1", labels, level, procedure)]])
+            batch = mcsim.batch_run(spec, np.array(rows))
+            for p, batch_row in zip(rows, batch):
+                expect = weighted_walk(kind, p, w, level)
+                rounds.add(rounds_that_clear(kind, p, w, level))
+                assert rejects(procedure, p, level) == expect, (w, level, p)
+                assert {k + 1 for k in np.flatnonzero(batch_row)} == expect, (w, level, p)
+                report = gk.run(spec, dict(zip(labels, map(np.float64, p))))
+                assert {k for k, l in enumerate(labels, 1) if report.decisions[l] == "S"} == expect
+        # Bonferroni settles in one round; Holm's rows need 0 to 3 or more.
+        assert (rounds == {0, 1}) if kind == "bonferroni" else ({0, 1, 2, 3} <= rounds), rounds
+
+    def test_one_batch_of_rows_that_need_different_numbers_of_rounds(self):
+        # Weighted Holm with a zero weight: the fourth row clears H1, H2, H3
+        # and H4 one round each and then holds only the zero weight in play.
+        w, level = (0.4, 0.3, 0.2, 0.1, 0.0), 0.05
+        procedure = proc.holm(w)
+
+        def at(k, *in_play):
+            return weighted_threshold("holm", w, k, set(in_play), level)
+
+        def above(x):
+            return float(np.nextafter(x, 1.0))
+
+        rows = [
+            (1.0, 1.0, 1.0, 1.0, 0.0),
+            (at(0, 0, 1, 2, 3, 4), 1.0, 1.0, 1.0, 0.0),
+            (at(0, 0, 1, 2, 3, 4), at(1, 1, 2, 3, 4), above(at(2, 2, 3, 4)), 0.5, 0.0),
+            (at(0, 0, 1, 2, 3, 4), at(1, 1, 2, 3, 4), at(2, 2, 3, 4), at(3, 3, 4), 0.0),
+            (1.0, 1.0, 1.0, 0.0, 0.0),
+            (above(at(0, 0, 1, 2, 3, 4)), 1.0, 1.0, 1.0, 0.0),
+        ]
+        assert [rounds_that_clear("holm", p, w, level) for p in rows] == [0, 1, 2, 4, 1, 0]
+        labels = ["H1", "H2", "H3", "H4", "H5"]
+        spec = gk.make_spec(level, [[("F1", labels, level, procedure)]])
+        batch = mcsim.batch_run(spec, np.array(rows))
+        for p, batch_row in zip(rows, batch):
+            expect = weighted_walk("holm", p, w, level)
+            assert rejects(procedure, p, level) == expect, p
+            assert {k + 1 for k in np.flatnonzero(batch_row)} == expect, p
+        assert [sorted(weighted_walk("holm", p, w, level)) for p in rows] == [
+            [], [1], [1, 2], [1, 2, 3, 4], [4], [],
+        ]
 
 
 dyadic = st.integers(0, 1024).map(lambda k: k / 1024.0)
