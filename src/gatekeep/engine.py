@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple
 from .errors import SpecFormatError
 from .graph import FamilySpec, GraphSpec, ValidationOutcome
 from .jsontext import fields, finite, list_of, loads, nested, string
-from .procedures import Kernel, check_pvalues
+from .procedures import Kernel, check_pvalues, in_unit
 
 REPLAY_TOL = 1e-12
 
@@ -129,7 +129,7 @@ def step(
     level = state.current_alpha[family]
     if not pvalues.keys() >= set(fam.labels):
         raise ValueError(f"missing p-values for {sorted(set(fam.labels) - pvalues.keys())}")
-    if not 0.0 <= level <= 1.0:
+    if not in_unit(level):
         raise ValueError(f"level {level!r} outside [0, 1]")
     edges = plan.edges[family]
     for dst, _ in edges:

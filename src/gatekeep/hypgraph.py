@@ -13,7 +13,8 @@ where eps is a positive infinitesimal. An edge listed in `epsilon_edges`
 contributes `cell * eps` instead of `cell`, and the other edges out of that
 source are scaled by (1 - C*eps) so each row still sums to 1 in the limit.
 Second-order eps terms are dropped; a threshold whose real part is zero but
-whose eps part is positive rejects only p = 0.
+whose eps part is positive rejects only p = 0. No float literal enters the
+arithmetic, so a graph given in `fractions.Fraction`s runs exactly.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def _div(num: Dual, den: Dual) -> Dual:
     if d > _REAL_EPS and abs(a) <= _REAL_EPS:
         # Real parts vanish together (mutual full-transfer cycle); the
         # limit is the ratio of the eps parts.
-        return (b / d, 0.0)
-    return (0.0, 0.0)
+        return (b / d, 0)
+    return (0, 0)
 
 
 class HypothesisGraph(NamedTuple):
@@ -128,7 +129,7 @@ def _dual_transitions(graph: HypothesisGraph) -> list[list[Dual]]:
         for k in range(n):
             g = graph.transitions[j][k]
             if (j, k) in graph.epsilon_edges:
-                row.append((0.0, g))
+                row.append((0, g))
             else:
                 # scale by (1 - c_total*eps) so the row sums to 1 exactly
                 row.append((g, -g * c_total))
@@ -166,12 +167,12 @@ def run_hypothesis_graph(
     if missing or extra:
         raise ValueError(f"p-value labels mismatch: missing {missing}, extra {extra}")
     for label in graph.labels:
-        if not 0.0 <= pvalues[label] <= 1.0:
+        if not proc.in_unit(pvalues[label]):
             raise ValueError(f"p-value {pvalues[label]!r} for {label} outside [0, 1]")
 
     n = len(graph.labels)
     p = [pvalues[label] for label in graph.labels]
-    w: list[Dual] = [(x, 0.0) for x in graph.weights]
+    w: list[Dual] = [(x, 0) for x in graph.weights]
     g = _dual_transitions(graph)
     active = set(range(n))
     rejected: set[int] = set()
@@ -197,9 +198,9 @@ def run_hypothesis_graph(
                 if l == k:
                     continue
                 num = _add(g[l][k], _mul(g[l][j], g[j][k]))
-                den = _add((1.0, 0.0), _mul((-1.0, 0.0), _mul(g[l][j], g[j][l])))
+                den = _add((1, 0), _mul((-1, 0), _mul(g[l][j], g[j][l])))
                 quotient = _div(num, den)
-                new_g[l][k] = (max(quotient[0], 0.0), quotient[1])
+                new_g[l][k] = (max(quotient[0], 0), quotient[1])
         g = new_g
 
     return frozenset(graph.labels[j] for j in rejected)

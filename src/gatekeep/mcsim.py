@@ -26,15 +26,15 @@ needs numpy only.
 The replicate loop does not call the scalar engine, but runs off the same
 plan (`GraphSpec.plan`: families, kernels, in- and out-edges, and the
 column layout: `order` and each family's `columns`) and the same kernel
-rules: thresholds, bound, rank thresholds, the fixed-sequence walk and the
-Bonferroni/weighted-Holm step-down rounds with their weight fold.
+rules: thresholds, bound, rank thresholds and cut, the fixed-sequence walk
+and the Bonferroni/weighted-Holm step-down rounds with their weight fold.
 `batch_run`, `simulate_fwer` and `sweep` evaluate all replicates at once,
 a family's p-values one row per column. A family decided by rank
 (`Kernel.by_rank`) is ranked once per sweep block and own shifts, within a
 fixed budget of values, and each config cuts that ranking at its own
-thresholds: only that cut has a batch form of its own. The hypothesis-level
-oracle, the lattice reference and the written-out references in the tests
-check the rules apart from either engine.
+levels with `Kernel.rank_cut`: no rule has a batch form of its own. The
+hypothesis-level oracle, the lattice reference and the written-out
+references in the tests check the rules apart from either engine.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import numpy as np
 from .errors import SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, spec_to_json
 from .jsontext import dumps, fields, finite, integer, loads, string
-from .procedures import STEP_DOWN, Kernel
 
 MODEL_KINDS = ("independent_uniform", "equicorrelated_normal")
 
@@ -433,7 +432,7 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
             level = level + outcomes[src].spendable * g
         kernel = plan.kernels[fam.name]
         if kernel.by_rank:
-            rej = _by_rank(kernel, p, level, _rank(p, ranks, (id(plan), fam.name, key[0])))
+            rej = p <= kernel.rank_cut(_rank(p, ranks, (id(plan), fam.name, key[0])), level)
         else:  # a walk over the positions, as the scalar engine takes it
             walk = kernel.in_sequence if kernel.kind == "fixed_sequence" else kernel.step_down
             rej = np.array(walk(p, level))
@@ -479,20 +478,6 @@ def _rank(p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray:
     if ranks is not None:
         ranks[key] = ranked
     return ranked
-
-
-def _by_rank(kernel: Kernel, p: np.ndarray, level: np.ndarray, ranked: np.ndarray) -> np.ndarray:
-    # The step-up cut or step-down prefix of procedures._by_rank, with `p`
-    # one row per column and `level` one level per replicate. No reduction
-    # runs along the short axis (family size).
-    cut = np.full(level.shape, -1.0)
-    cleared = True
-    for r, thr in zip(ranked, kernel.rank_thresholds(level)):
-        ok = (r <= thr) & (thr > 0.0)
-        if kernel.kind in STEP_DOWN:
-            ok = cleared = cleared & ok
-        cut = np.where(ok, r, cut)
-    return p <= cut
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ in an index set A; the unspent part of a family's critical value,
 level - e*(accepted), is what gets transferred to later families.
 
 Each procedure's rules are written once, in `Kernel`, as plain arithmetic
-over one float or one numpy column per position: thresholds, weight fold,
-bound, rank thresholds, fixed-sequence walk and step-down rounds. Both
-engines read them; nothing here imports numpy. `test_family` and
+over one float, one numpy column or one `fractions.Fraction` per position:
+thresholds, weight fold, bound, rank thresholds and cut, fixed-sequence
+walk and step-down rounds. Both engines read them, and on `Fraction`s they
+run exactly; nothing here imports numpy. `test_family` and
 `error_rate_bound` validate and run.
 
 Conventions used throughout:
@@ -135,9 +136,11 @@ def check_procedure(
 
 class Kernel(NamedTuple):
     """A procedure resolved for one family of `n` hypotheses, with its
-    rules written as plain arithmetic: `level` may be a float or a numpy
-    column of levels (one per replicate); p-values and flags hold one such
-    value per position, and other arguments broadcast against `level`.
+    rules written as plain arithmetic: `level` may be a float, a numpy
+    column of levels (one per replicate) or a `Fraction`; p-values and flags
+    hold one such value per position, and other arguments broadcast against
+    `level`. No float literal enters the arithmetic, so `Fraction` levels,
+    gamma and weights stay exact; default weights are the floats 1.0 / n.
     Build kernels only from procedures that `check_procedure` accepts.
     """
 
@@ -146,7 +149,7 @@ class Kernel(NamedTuple):
     gamma: float | None
     weights: tuple[float, ...] | None  # bonferroni and holm: given or equal
     order: tuple[int, ...] | None  # fixed_sequence: 0-based positions in testing order
-    by_rank: bool  # decided by its ranked p-values; see rank_thresholds
+    by_rank: bool  # decided by its ranked p-values; see rank_cut
 
     @classmethod
     def of(
@@ -179,7 +182,7 @@ class Kernel(NamedTuple):
         if kind == "hochberg":
             return level / rest
         if kind in _TRUNCATED:
-            return (self.gamma / rest + (1.0 - self.gamma) / self.n) * level
+            return (self.gamma / rest + (1 - self.gamma) / self.n) * level
         return level  # fixed_sequence
 
     def bound(self, level, accepted):
@@ -189,7 +192,7 @@ class Kernel(NamedTuple):
         if self.kind == "bonferroni":
             e = level * self.weight_in(accepted)
         elif self.kind in _TRUNCATED:
-            e = (self.gamma + (1.0 - self.gamma) * count / self.n) * level * (count > 0)
+            e = (self.gamma + (1 - self.gamma) * count / self.n) * level * (count > 0)
         else:
             return level * (count > 0)  # holm, hochberg, fixed_sequence
         return e * (e <= level) + level * (level < e)  # min(e, level), on arrays too
@@ -199,7 +202,7 @@ class Kernel(NamedTuple):
         flags, per position), added one at a time in index order: numpy's
         sum goes pairwise from 8 terms and Python's compensates from 3.12 on,
         so either can differ in the last bit."""
-        total = 0.0
+        total = 0
         for w, flag in zip(self.weights, flags):
             total = total + w * flag
         return total
@@ -212,6 +215,25 @@ class Kernel(NamedTuple):
         w = self.weights and self.weights[0]
         totals = list(accumulate([w] * self.n)) if w else [None] * self.n
         return [self.threshold(level, rest, w, totals[rest - 1]) for rest in range(self.n, 0, -1)]
+
+    def rank_cut(self, ranked, level):
+        """The largest rejected p-value of a family decided by rank, or -1:
+        `ranked` holds one p-value, or one column, per rank, smallest first.
+
+        Step-up (the Hochberg kinds) cuts at the last rank that clears its
+        threshold, step-down (truncated Holm, Holm with equal weights) at
+        the end of the cleared prefix: its thresholds grow as the count in
+        play falls, so that prefix is the fixed point of the rounds.
+        Thresholds rise with rank, so no tie straddles the cut.
+        """
+        cut = -1  # an int: a float's cut * False would turn a Fraction into a float
+        cleared = True
+        for r, thr in zip(ranked, self.rank_thresholds(level)):
+            ok = (thr > 0.0) & (r <= thr)
+            if self.kind in STEP_DOWN:
+                ok = cleared = cleared & ok
+            cut = r * ok + cut * (ok ^ True)  # r where ok, else cut
+        return cut
 
     def in_sequence(self, p, level) -> list:
         """Fixed sequence, by position: each hypothesis is rejected when it
@@ -259,25 +281,11 @@ class Kernel(NamedTuple):
         if level <= 0.0:
             return [False] * self.n
         if self.by_rank:
-            return _by_rank(self, p, level)
+            cut = self.rank_cut(sorted(p), level)
+            return [x <= cut for x in p]
         if self.kind == "fixed_sequence":
             return self.in_sequence(p, level)
         return self.step_down(p, level)
-
-
-def _by_rank(kernel: Kernel, p, level) -> list:
-    # Step-up (the Hochberg kinds) rejects every p at or below the largest
-    # ranked p that clears its threshold, step-down (truncated Holm, Holm
-    # with equal weights) the cleared prefix of the ranking: its thresholds
-    # grow as the count in play falls, so that prefix is the fixed point of
-    # the rounds. Thresholds rise with rank, so no tie straddles the cut.
-    cut = -1.0
-    for x, thr in zip(sorted(p), kernel.rank_thresholds(level)):
-        if thr > 0.0 and x <= thr:
-            cut = x
-        elif kernel.kind in STEP_DOWN:
-            break
-    return [x <= cut for x in p]
 
 
 class FamilyTestInput(NamedTuple):
@@ -301,7 +309,7 @@ def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int
     if problems:
         raise ValueError("; ".join(problems))
     check_pvalues(inp.pvalues)
-    if not 0.0 <= inp.level <= 1.0:
+    if not in_unit(inp.level):
         raise ValueError(f"level {inp.level!r} outside [0, 1]")
     if proc.kind == "fixed_sequence" and inp.labels is None and inp.level > 0.0:
         raise ValueError("fixed_sequence needs the family's hypothesis labels")
@@ -309,15 +317,19 @@ def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int
     return frozenset(compress(range(1, n + 1), kernel.test(inp.pvalues, inp.level)))
 
 
+def in_unit(x) -> bool:
+    """Whether `x` is a number in [0, 1]; NaN, None and strings are not."""
+    try:
+        return 0.0 <= x <= 1.0
+    except TypeError:
+        return False
+
+
 def check_pvalues(pvalues: Iterable) -> None:
-    """Refuse a p-value that is not a number in [0, 1] (NaN, None and
-    strings included), naming its 1-based position."""
+    """Refuse a p-value that is not a number in [0, 1], naming its
+    1-based position."""
     for k, p in enumerate(pvalues, start=1):
-        try:
-            ok = 0.0 <= p <= 1.0
-        except TypeError:
-            ok = False
-        if not ok:
+        if not in_unit(p):
             raise ValueError(f"p-value {p!r} at position {k} outside [0, 1]")
 
 
@@ -340,7 +352,7 @@ def error_rate_bound(
         raise ValueError(f"accepted set {accepted!r} holds a non-integer") from None
     if any(not 1 <= k <= n for k in a):
         raise ValueError(f"accepted set {sorted(a)} not within 1..{n}")
-    if not 0.0 <= level <= 1.0:
+    if not in_unit(level):
         raise ValueError(f"level {level!r} outside [0, 1]")
     problems = check_procedure(proc, n)
     if problems:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,26 @@ def fold(values) -> float:
     for x in values:
         total += x
     return total
+
+
+def exact_spec(spec: gk.GraphSpec) -> gk.GraphSpec:
+    """`spec` rebuilt with `Fraction(x)` (a float's exact value) for every
+    number, and `Fraction(1, n)` for default Bonferroni/Holm weights, so
+    that the engine runs it in exact arithmetic."""
+    def family(fam: gk.FamilySpec) -> gk.FamilySpec:
+        p = fam.procedure
+        weights = p.weights and tuple(map(Fraction, p.weights))
+        if p.kind in ("bonferroni", "holm") and weights is None:
+            weights = (Fraction(1, fam.size),) * fam.size
+        gamma = None if p.gamma is None else Fraction(p.gamma)
+        procedure = gk.LocalProcedureSpec(p.kind, gamma, weights, p.order)
+        return gk.FamilySpec(fam.name, fam.labels, Fraction(fam.initial_alpha), procedure)
+
+    return gk.GraphSpec(
+        Fraction(spec.global_alpha),
+        tuple(tuple(map(family, layer)) for layer in spec.layers),
+        gk.TransitionCoefficients({edge: Fraction(g) for edge, g in spec.transitions.items()}),
+    )
 
 
 def rejected_labels(report: gk.TestReport) -> frozenset[str]:

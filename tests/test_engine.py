@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gatekeep.engine import initial_state, replay, report_from_json, report_to_j
 
 from conftest import (
     TABLE_PVALUES,
+    exact_spec,
     random_pvalues,
     random_spec,
     rejected_labels,
@@ -242,7 +244,7 @@ class TestStep:
         with pytest.raises(ValueError, match=r"^missing p-values for \['H2', 'H3'\]$"):
             step(spec, initial_state(spec), "F1", {"H1": 0.01})
 
-    @pytest.mark.parametrize("level", [1.5, -0.01, float("nan")])
+    @pytest.mark.parametrize("level", [1.5, -0.01, float("nan"), None, "0.05"])
     def test_hand_edited_level_outside_unit_interval(self, level):
         spec = self.bonferroni_chain()
         state = initial_state(spec)._replace(current_alpha={"F1": level, "F2": 0.0})
@@ -442,6 +444,24 @@ class TestReductions:
         for _ in range(10_000):
             p = {l: float(x) for l, x in zip(labels, rng.uniform(0, 0.1, 9))}
             assert rejected_labels(gk.run(spec, p)) == stagewise(p)
+
+
+class TestExactArithmetic:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_and_float_engines_agree_on_continuous_pvalues(self, seed):
+        # The same engine on `exact_spec` specs decides as on floats, with
+        # every level, e* and transfer a Fraction, and replays clean.
+        rng = np.random.default_rng([22, seed])
+        for _ in range(100):
+            spec = random_spec(rng, max_size=6)
+            exact = exact_spec(spec)
+            p = random_pvalues(rng, spec)
+            report = gk.run(exact, p)
+            assert report.decisions == gk.run(spec, p).decisions, (spec, p)
+            for o in report.outcomes:
+                numbers = [o.level_used, o.e_star, *(t.amount for t in o.transfers)]
+                assert all(type(x) is Fraction for x in numbers), o
+            assert replay(report, exact).ok
 
 
 class TestReplay:

@@ -88,7 +88,7 @@ class TestRunBasics:
         hyp, _ = hg.bonferroni_gate_pair(0.05)
         assert gk.run_hypothesis_graph(hyp, {l: 1.0 for l in hyp.labels}) == frozenset()
 
-    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), None, "0.5"])
     def test_pvalue_outside_unit_interval_named(self, bad):
         graph = plain_graph(0.05, ["A", "B"], [0.5, 0.5], {})
         with pytest.raises(ValueError, match=r"for B outside \[0, 1\]$"):

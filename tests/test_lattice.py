@@ -11,6 +11,7 @@ convention a tie then decides the outcome, and the scalar engine,
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gatekeep import hypgraph, mcsim
 from gatekeep import procedures as proc
 from gatekeep.engine import initial_state, step
 
-from conftest import fold
+from conftest import exact_spec, fold, rejected_labels
 
 SIZES = range(1, 10)
 ROWS_PER_SPEC = 10
@@ -209,3 +210,62 @@ def test_hypothesis_twins_agree_on_the_lattice():
             p = lattice_pvalues(spec, rng, lowest=np.nextafter(0.0, 1.0))
             engine = frozenset(l for l, d in gk.run(spec, p).decisions.items() if d == "S")
             assert gk.run_hypothesis_graph(graph, p) == engine, (graph, p)
+
+
+def exact_kernels(kind: str, rng):
+    """Kernels of `kind` for every size, resolved from `exact_spec` specs;
+    Bonferroni and Holm both with unequal and with default weights."""
+    for n in SIZES:
+        labels = [f"H{k}" for k in range(n)]
+        procedures = [procedure_of(kind, labels, rng)]
+        if kind in ("bonferroni", "holm"):
+            procedures.append(gk.LocalProcedureSpec(kind))
+        for procedure in procedures:
+            spec = exact_spec(gk.make_spec(0.05, [[("F", labels, 0.05, procedure)]]))
+            yield spec.plan.kernels["F"]
+
+
+@pytest.mark.parametrize("kind", proc.KINDS)
+def test_kernel_rules_stay_exact_on_fractions(kind):
+    # One float literal in a rule (a fold from 0.0, 1.0 - gamma, a cut
+    # from -1.0) turns a Fraction into a float.
+    rng = np.random.default_rng([proc.KINDS.index(kind), 22])
+    for kernel in exact_kernels(kind, rng):
+        n = kernel.n
+        level = Fraction(float(rng.uniform(0.001, 0.2)))
+        p = sorted(Fraction(float(x)) for x in rng.uniform(0.0, 0.1, n))
+        values = [kernel.bound(level, [bool(m >> k & 1) for k in range(n)]) for m in range(1 << n)]
+        if kernel.kind == "fixed_sequence":
+            values.append(kernel.threshold(level))
+        if kernel.weights is not None:
+            flags = [bool(f) for f in rng.integers(0, 2, n)]
+            flags[0] = True
+            total = kernel.weight_in(flags)
+            values += [total] + [kernel.threshold(level, None, w, total) for w in kernel.weights]
+        if kernel.by_rank:
+            values += kernel.rank_thresholds(level) + [kernel.rank_cut(p, level)]
+        assert all(type(v) is Fraction for v in values), (kernel, values)
+
+
+def exact_graph(graph: hypgraph.HypothesisGraph) -> hypgraph.HypothesisGraph:
+    """`graph` with `Fraction(x)` for every number."""
+    return graph._replace(
+        alpha=Fraction(graph.alpha),
+        weights=tuple(map(Fraction, graph.weights)),
+        transitions=tuple(tuple(map(Fraction, row)) for row in graph.transitions),
+    )
+
+
+def test_exact_engine_agrees_with_the_oracle_on_the_lattice():
+    # Both forms run each twin's own numbers as rationals, so no float chain
+    # can split them at a tie, truncated gates with gamma > 0 included. The
+    # lattice sits on the float engine's thresholds, where exact decisions
+    # may differ from float ones.
+    rng = np.random.default_rng(2022)
+    gates = [hypgraph.truncated_holm_gate(0.05, gamma) for gamma in (0.25, 0.5, 0.75)]
+    for graph, spec in [*twins(rng), *gates]:
+        exact, oracle = exact_spec(spec), exact_graph(graph)
+        for _ in range(200):
+            p = lattice_pvalues(spec, rng, lowest=np.nextafter(0.0, 1.0))
+            engine = rejected_labels(gk.run(exact, p))
+            assert gk.run_hypothesis_graph(oracle, p) == engine, (graph, p)

@@ -132,6 +132,11 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="level"):
             rejects(proc.holm(), (0.01,), 1.5)
 
+    @pytest.mark.parametrize("bad", [None, "0.05", [0.05]])
+    def test_level_that_is_not_a_number(self, bad):
+        with pytest.raises(ValueError, match=r"^level .* outside \[0, 1\]$"):
+            rejects(proc.holm(), (0.01, 0.5), bad)
+
     def test_order_not_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             rejects(
@@ -240,7 +245,7 @@ class TestErrorRateBound:
         with pytest.raises(ValueError, match="holds a non-integer"):
             error_rate_bound(proc.bonferroni(), [2, bad], 3, 0.05)
 
-    @pytest.mark.parametrize("level", [1.5, -0.01, float("nan")])
+    @pytest.mark.parametrize("level", [1.5, -0.01, float("nan"), None, "0.05"])
     def test_level_outside_unit_interval(self, level):
         with pytest.raises(ValueError, match=r"^level .* outside \[0, 1\]$"):
             error_rate_bound(proc.holm(), {1}, 3, level)
