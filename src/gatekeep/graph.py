@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSpecError, SpecFormatError
 from .jsontext import dumps, fields, list_of, loads, number, numbers, string
-from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure
+from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure, in_unit
 
 SUM_TOL = 1e-12
 
@@ -203,7 +203,7 @@ def make_spec(
 def validate_spec(spec: GraphSpec) -> ValidationOutcome:
     """Check every structural constraint; report all violations, no short-circuit."""
     v: list[str] = []
-    if not 0.0 <= spec.global_alpha <= 1.0:
+    if not in_unit(spec.global_alpha):
         v.append(f"global alpha {spec.global_alpha!r} outside [0, 1]")
     if not spec.layers:
         v.append("no layers")
@@ -221,9 +221,9 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
             address[fam.name] = (i, j)
             if fam.size < 1:
                 v.append(f"{where}: no hypotheses")
-            if not 0.0 <= fam.initial_alpha <= 1.0:
+            if not in_unit(fam.initial_alpha):
                 v.append(f"{where}: initial alpha {fam.initial_alpha!r} outside [0, 1]")
-            alpha_sum += fam.initial_alpha
+            alpha_sum += _number(fam.initial_alpha, 0.0)
             for label in fam.labels:
                 if label in labels:
                     v.append(
@@ -234,7 +234,7 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
             for problem in check_procedure(fam.procedure, fam.size, fam.labels):
                 v.append(f"{where}: {problem}")
 
-    if alpha_sum > spec.global_alpha + SUM_TOL:
+    if alpha_sum > _number(spec.global_alpha, float("inf")) + SUM_TOL:
         v.append(
             f"initial alphas sum to {alpha_sum!r}, "
             f"exceeding global alpha {spec.global_alpha!r}"
@@ -246,19 +246,29 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
         if src not in address or dst not in address:
             v.append(f"{edge}: unknown family")
             continue
-        if not 0.0 <= g <= 1.0:
+        if not in_unit(g):
             v.append(f"{edge}: coefficient {g!r} outside [0, 1]")
         if address[src][0] >= address[dst][0]:
             v.append(
                 f"backward edge {edge}: coefficient must be 0 "
                 f"unless the target layer is strictly later"
             )
-        row_sums[src] = row_sums.get(src, 0.0) + g
+        row_sums[src] = row_sums.get(src, 0.0) + _number(g, 0.0)
     for src, total in row_sums.items():
         if total > 1.0 + SUM_TOL:
             v.append(f"row sum {total!r} > 1 for family {src}")
 
     return ValidationOutcome(tuple(v))
+
+
+def _number(x, otherwise: float):
+    """`x`, or `otherwise` if `x` does not add as a number (its own check
+    reports it)."""
+    try:
+        x + 0.0
+    except TypeError:
+        return otherwise
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def validate_graph(graph: HypothesisGraph) -> ValidationOutcome:
         v.append("no hypotheses")
     if len(set(graph.labels)) != n:
         v.append("duplicate hypothesis labels")
-    if not 0.0 <= graph.alpha <= 1.0:
+    if not proc.in_unit(graph.alpha):
         v.append(f"alpha {graph.alpha!r} outside [0, 1]")
     if len(graph.weights) != n:
         v.append(f"{len(graph.weights)} weights for {n} hypotheses")

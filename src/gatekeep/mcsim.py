@@ -11,9 +11,12 @@ keyed by (seed, r), so results are bit-identical for a given config no
 matter how replicates are scheduled or batched. Configs that share a draw
 (seed, reps, model, hypothesis count) run together, one draw after
 another and one block of `_BLOCK` rows at a time, and only counts are kept
-across blocks. So memory holds one block of one draw, however many reps
-and however many draws a sweep has. A config list is parsed one element
-at a time, so only one element's JSON tree is held.
+across blocks. So the working memory is one block of one draw, however
+many reps and however many draws a sweep has; what grows with the number
+of configs is the configs and their results. A config list is parsed one
+element at a time, so only one element's JSON tree is held, and a parsed
+config's truth map holds the strings of its spec and of this module, not
+copies of its own.
 
 P-value generation: every hypothesis gets a standard normal score; under
 the equicorrelated model the scores share a common factor with correlation
@@ -30,11 +33,12 @@ rules: thresholds, bound, rank thresholds and cut, the fixed-sequence walk
 and the Bonferroni/weighted-Holm step-down rounds with their weight fold.
 `batch_run`, `simulate_fwer` and `sweep` evaluate all replicates at once,
 a family's p-values one row per column. A family decided by rank
-(`Kernel.by_rank`) is ranked once per sweep block and own shifts, within a
-fixed budget of values, and each config cuts that ranking at its own
-levels with `Kernel.rank_cut`: no rule has a batch form of its own. The
-hypothesis-level oracle, the lattice reference and the written-out
-references in the tests check the rules apart from either engine.
+(`Kernel.by_rank`) is ranked once per sweep block, column range and own
+shifts, whatever the strategy, within a fixed budget of values, and each
+config cuts that ranking at its own levels with `Kernel.rank_cut`: no rule
+has a batch form of its own. The hypothesis-level oracle, the lattice
+reference and the written-out references in the tests check the rules
+apart from either engine.
 """
 
 from __future__ import annotations
@@ -251,8 +255,9 @@ def draw_scores(
 
 
 # Rows per block. Replicates are evaluated one block of rows at a time, so
-# memory does not grow with reps; 1e4-rep sweeps stay one block.
-_BLOCK = 16384
+# memory does not grow with reps; 1e4-rep sweeps stay one block, and no
+# smaller block keeps them whole.
+_BLOCK = 10_000
 # Float64 values that one block's ranking cache holds at most (8 MB).
 _RANK_BUDGET = 1 << 20
 
@@ -280,10 +285,10 @@ def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     configs; each config's counts are added up over the blocks. Within a
     block, a column's p-values are shared across the draw's configs that
     agree on its shift (delta for a false null, 0 for a true null), a
-    family's ranking across the spec's configs that agree on its own
-    columns' shifts, and a family's outcome across the spec's consecutive
-    configs that also agree on its own truth and its sources' outcomes.
-    Only one block of one draw is held at a time. Results equal
+    ranking of a family's columns across the draw's configs that agree on
+    those columns' shifts, and a family's outcome across the spec's
+    consecutive configs that also agree on its own truth and its sources'
+    outcomes. Only one block of one draw is held at a time. Results equal
     simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
@@ -340,8 +345,9 @@ def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.nd
     needs them, by the block's one `column` function. Each plan keeps the
     last outcome of each family, keyed by `_evaluate` on its inputs: it is
     retested exactly when its own shifts or truth or those upstream change.
-    A retest reuses the family's ranking from `ranks` if its own shifts were
-    seen (`_rank`). Everything is dropped on return.
+    A retest reuses the ranking of its column range from `ranks` if those
+    columns' shifts were seen, by any config of the draw (`_rank`).
+    Everything is dropped on return.
     """
     seed, reps, n, kind, rho = draw
     stop = min(reps, start + _BLOCK)
@@ -432,7 +438,7 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
             level = level + outcomes[src].spendable * g
         kernel = plan.kernels[fam.name]
         if kernel.by_rank:
-            rej = p <= kernel.rank_cut(_rank(p, ranks, (id(plan), fam.name, key[0])), level)
+            rej = p <= kernel.rank_cut(_rank(p, ranks, (cols.start, cols.stop, key[0])), level)
         else:  # a walk over the positions, as the scalar engine takes it
             walk = kernel.in_sequence if kernel.kind == "fixed_sequence" else kernel.step_down
             rej = np.array(walk(p, level))
@@ -466,9 +472,11 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
 def _rank(p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray:
     """Each replicate's p-values in ascending order (one row per rank).
 
-    A ranking does not depend on the level, so `ranks` keeps it, keyed by
-    (plan, family, own shifts), for the other configs of the block; least
-    recently used first, and at most `_RANK_BUDGET` values in all.
+    A ranking does not depend on the level, nor on the strategy: within a
+    block it depends only on the family's columns and their shifts. So
+    `ranks` keeps it, keyed by (first column, end column, own shifts), for
+    the other configs of the block, whatever their strategy; least recently
+    used first, and at most `_RANK_BUDGET` values in all.
     """
     ranked = None if ranks is None else ranks.pop(key, None)
     if ranked is None:
@@ -500,10 +508,16 @@ def sim_config_to_json(config: SimConfig) -> str:
     return dumps(obj)
 
 
-def _config_from_obj(obj, seed: int | None, specs: dict[bytes, GraphSpec]) -> SimConfig:
+_TRUTH_FORMAT = "truth must map labels to true_null/false_null"
+
+
+def _config_from_obj(obj, seed: int | None, specs: dict[bytes, tuple]) -> SimConfig:
     """Build one config; `specs` holds the specs parsed so far, by the
     `marshal` bytes of their JSON value (which keep bool, int and float
-    apart), so that configs sharing a strategy share one GraphSpec."""
+    apart), so that configs sharing a strategy share one GraphSpec. Each
+    spec is kept with a map that takes its labels and the two truth values
+    to the spec's and this module's string objects, so that a config's
+    truth holds no copies of them."""
     obj = fields(obj, ("spec", "truth", "reps"), "config", ("model", "seed"))
     try:
         key = marshal.dumps(obj["spec"])
@@ -511,20 +525,23 @@ def _config_from_obj(obj, seed: int | None, specs: dict[bytes, GraphSpec]) -> Si
     except (ValueError, RecursionError) as exc:  # nested deeper than either writes
         raise SpecFormatError(f"not valid JSON: {exc}") from None
     if spec_text is not None:
-        specs[key] = spec_from_json(spec_text)
-    spec = specs[key]
-    truth = obj["truth"]
-    if not isinstance(truth, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in truth.items()
-    ):
-        raise SpecFormatError("truth must map labels to true_null/false_null")
+        spec = spec_from_json(spec_text)
+        specs[key] = spec, {s: s for s in (*spec.labels(), TRUE_NULL, FALSE_NULL)}
+    spec, own = specs[key]
+    if not isinstance(obj["truth"], dict):
+        raise SpecFormatError(_TRUTH_FORMAT)
+    truth = {}  # unknown labels and values stay as they are, for _check_config
+    for label, value in obj["truth"].items():
+        if not (isinstance(label, str) and isinstance(value, str)):
+            raise SpecFormatError(_TRUTH_FORMAT)
+        truth[own.get(label, label)] = own.get(value, value)
     model = fields(obj.get("model", {}), (), "model", ("kind", "rho", "delta"))
     effective_seed = obj.get("seed", seed)
     if effective_seed is None:
         raise SpecFormatError("no seed: provide one in the config or via --seed")
     return SimConfig(
         spec,
-        dict(truth),
+        truth,
         PValueModel(
             kind=string(model.get("kind", "independent_uniform"), "model kind"),
             rho=finite(model.get("rho", 0.0), "model rho"),
@@ -546,7 +563,7 @@ def sim_configs_from_json(text: str, seed: int | None = None) -> list[SimConfig]
     the next element is decoded, so only one element's tree is held. It
     accepts exactly what `json.loads` accepts.
     """
-    specs: dict[bytes, GraphSpec] = {}
+    specs: dict[bytes, tuple] = {}
     skip = WHITESPACE.match
     i = skip(text).end()
     if text[i:i + 1] != "[":

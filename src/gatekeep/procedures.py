@@ -103,8 +103,8 @@ def check_procedure(
     if proc.kind in _TRUNCATED:
         if proc.gamma is None:
             problems.append(f"{proc.kind} requires gamma")
-        elif not 0.0 <= proc.gamma < 1.0:
-            problems.append(f"gamma {proc.gamma} outside [0, 1)")
+        elif not (in_unit(proc.gamma) and proc.gamma < 1.0):
+            problems.append(f"gamma {proc.gamma!r} outside [0, 1)")
     elif proc.gamma is not None:
         problems.append(f"{proc.kind} does not take gamma")
     if proc.weights is not None:

@@ -132,6 +132,34 @@ class TestValidateSpec:
         )
         assert any("outside [0, 1)" in v for v in gk.validate_spec(spec).violations)
 
+    @pytest.mark.parametrize("bad", [None, "0.05"])
+    @pytest.mark.parametrize("where", ["global", "family", "coefficient"])
+    def test_a_value_that_is_not_a_number_is_a_violation(self, where, bad):
+        spec = parallel_split_spec()
+        if where == "global":
+            spec = spec._replace(global_alpha=bad)
+            violation = f"global alpha {bad!r} outside [0, 1]"
+        elif where == "family":
+            first, *rest = spec.layers[0]
+            spec = spec._replace(layers=((first._replace(initial_alpha=bad), *rest),
+                                         *spec.layers[1:]))
+            violation = f"family {first.name}: initial alpha {bad!r} outside [0, 1]"
+        else:
+            edge = next(iter(spec.transitions.entries))
+            spec = spec._replace(transitions=TransitionCoefficients(
+                {**spec.transitions.entries, edge: bad}))
+            violation = f"coefficient {bad!r} outside [0, 1]"
+        # The bad value is reported once; the sums skip it.
+        [reported] = gk.validate_spec(spec).violations
+        assert reported.endswith(violation)
+        with pytest.raises(gk.InvalidSpecError):
+            spec.plan
+
+    def test_gamma_that_is_not_a_number_is_a_violation(self):
+        spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05,
+                                     gk.LocalProcedureSpec("truncated_holm", gamma="0.5"))]])
+        assert gk.validate_spec(spec).violations == ("family F1: gamma '0.5' outside [0, 1)",)
+
     def test_fixed_sequence_order_must_permute(self):
         spec = gk.make_spec(
             0.05,

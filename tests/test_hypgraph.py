@@ -77,6 +77,13 @@ class TestValidation:
         with pytest.raises(gk.InvalidSpecError):
             gk.run_hypothesis_graph(graph, {"A": 0.01})
 
+    @pytest.mark.parametrize("bad", [None, "0.05"])
+    def test_alpha_that_is_not_a_number(self, bad):
+        graph = plain_graph(bad, ["A"], [1.0], {})
+        assert hg.validate_graph(graph).violations == (f"alpha {bad!r} outside [0, 1]",)
+        with pytest.raises(gk.InvalidSpecError, match="outside"):
+            gk.run_hypothesis_graph(graph, {"A": 0.01})
+
     def test_run_rejects_label_mismatch(self):
         graph = plain_graph(0.05, ["A", "B"], [0.5, 0.5], {})
         with pytest.raises(ValueError, match="mismatch"):

@@ -348,6 +348,58 @@ class TestRankingCache:
         random.Random(2).shuffle(configs)
         assert mcsim.sweep(configs) == [mcsim.simulate_fwer(c) for c in configs]
 
+    @staticmethod
+    def one_layout_strategies():
+        # Two strategies of one layout: a ranked family on columns 0-1 and
+        # another on columns 2-3, in two layers or in one.
+        return [
+            gk.make_spec(0.05, [
+                [("F1", ["A1", "A2"], 0.04, proc.hochberg())],
+                [("F2", ["A3", "A4"], 0.01, proc.truncated_holm(0.5))],
+            ], {("F1", "F2"): 1.0}),
+            gk.make_spec(0.05, [
+                [("G1", ["B1", "B2"], 0.02, proc.truncated_hochberg(0.2)),
+                 ("G2", ["B3", "B4"], 0.03, proc.holm())],
+            ]),
+        ]
+
+    @pytest.mark.parametrize("budget", [None, 2 * 300])
+    def test_rankings_are_shared_by_column_range(self, monkeypatch, budget):
+        # Families with equal shifts on different columns must not share a
+        # ranking; families of different strategies on the same columns
+        # share one. The small budget holds a single ranking.
+        import itertools
+        import random
+
+        if budget is not None:
+            monkeypatch.setattr(mcsim, "_RANK_BUDGET", budget)
+        configs = []
+        for spec in self.one_layout_strategies():
+            labels = spec.labels()
+            masks = itertools.product((True, False), repeat=len(labels))
+            for delta, bits in itertools.product((2.0, 3.0), masks):
+                truth = {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)}
+                configs.append(SimConfig(spec, truth, PValueModel(delta=delta), 300, 4))
+        random.Random(5).shuffle(configs)
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
+        results = mcsim.sweep(configs)
+        monkeypatch.setattr(np, "sort", sort)
+        assert results == [mcsim.simulate_fwer(c) for c in configs]
+        if budget is None:
+            # Per column range: the shifts (0, 0), and (0, d), (d, 0), (d, d)
+            # for each of the two deltas d.
+            assert len(sorts) == 2 * 7
+
+    def test_a_ten_thousand_rep_sweep_is_one_block(self, monkeypatch):
+        calls = []
+        draw = mcsim.draw_scores
+        monkeypatch.setattr(mcsim, "draw_scores", lambda *a: calls.append(a) or draw(*a))
+        config = small_config(reps=10_000)
+        mcsim.sweep([config, dataclasses.replace(config, model=PValueModel(delta=2.0))])
+        assert len(calls) == 1
+
     def test_memory_stays_within_the_budget_and_one_block(self):
         import itertools
         import tracemalloc
@@ -564,6 +616,67 @@ class TestJsonFormats:
         obj["model"][key] = value
         with pytest.raises(gk.SpecFormatError, match=f"model {key} must be a finite number"):
             mcsim.sim_configs_from_json(json.dumps(obj))
+
+    @staticmethod
+    def every_mask_text():
+        import itertools
+
+        labels = [f"H{k}" for k in range(1, 10)]
+        spec = gk.make_spec(0.05, [
+            [("F1", labels[:3], 0.03, proc.hochberg())],
+            [("F2", labels[3:6], 0.01, proc.truncated_holm(0.5))],
+            [("F3", labels[6:], 0.01, proc.holm())],
+        ], {("F1", "F2"): 0.5, ("F1", "F3"): 0.5, ("F2", "F3"): 1.0})
+        spec_obj = json.loads(gk.spec_to_json(spec))
+        model = {"kind": "equicorrelated_normal", "rho": 0.3, "delta": 3.0}
+        return json.dumps([
+            {"spec": spec_obj, "model": model, "reps": 1000,
+             "truth": {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)}}
+            for bits in itertools.product((True, False), repeat=9)
+        ])
+
+    def test_parsed_configs_hold_no_strings_of_their_own(self):
+        import tracemalloc
+
+        text = self.every_mask_text()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            configs = mcsim.sim_configs_from_json(text, seed=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(configs) == 512
+        # About 630 bytes each; 1640 when every truth map held its own strings.
+        assert held / len(configs) <= 1024
+        spec = configs[0].spec
+        for config in configs:
+            assert config.spec is spec
+            for label, own, value in zip(spec.labels(), config.truth, config.truth.values()):
+                assert own is label
+                assert value is mcsim.TRUE_NULL or value is mcsim.FALSE_NULL
+
+    @pytest.mark.parametrize("label, value, message", [
+        ("H10", "true_null", "truth labels mismatch: missing [], extra ['H10']"),
+        ("H1", "maybe", "truth values must be true_null/false_null; bad: ['H1']"),
+        ("H1", "", "truth values must be true_null/false_null; bad: ['H1']"),
+    ])
+    def test_unknown_label_or_value_is_refused_when_checked(self, label, value, message):
+        obj = json.loads(self.every_mask_text())[0]
+        obj["truth"][label] = value
+        [config] = mcsim.sim_configs_from_json(json.dumps(obj), seed=1)
+        assert config.truth[label] == value
+        with pytest.raises(ValueError) as info:
+            mcsim.simulate_fwer(config)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("truth", [["H1"], {"H1": 1}, {"H1": None}, "true_null"])
+    def test_truth_must_map_strings_to_strings(self, truth):
+        obj = json.loads(self.every_mask_text())[0]
+        obj["truth"] = truth
+        message = "^truth must map labels to true_null/false_null$"
+        with pytest.raises(gk.SpecFormatError, match=message):
+            mcsim.sim_configs_from_json(json.dumps(obj), seed=1)
 
     def test_result_json(self):
         result = mcsim.simulate_fwer(small_config(reps=100))

@@ -150,6 +150,15 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="gamma"):
             rejects(proc.truncated_holm(1.0), (0.01,), 0.05)
 
+    @pytest.mark.parametrize("bad", [None, "0.5", [0.5]])
+    def test_gamma_that_is_not_a_number(self, bad):
+        spec = gk.LocalProcedureSpec("truncated_hochberg", gamma=bad)
+        problems = proc.check_procedure(spec, 2)
+        assert problems == (["truncated_hochberg requires gamma"] if bad is None
+                            else [f"gamma {bad!r} outside [0, 1)"])
+        with pytest.raises(ValueError, match="gamma"):
+            rejects(spec, (0.01, 0.02), 0.05)
+
     def test_truncated_kinds_refuse_weights(self):
         bad = gk.LocalProcedureSpec("truncated_holm", gamma=0.5, weights=(0.5, 0.5))
         with pytest.raises(ValueError, match="does not support weights"):
