@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSpecError, SpecFormatError
 from .jsontext import dumps, fields, list_of, loads, number, numbers, string
-from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure, in_unit
+from .procedures import KINDS, Kernel, LocalProcedureSpec, check_procedure, in_unit, number_or
 
 SUM_TOL = 1e-12
 
@@ -223,7 +223,7 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
                 v.append(f"{where}: no hypotheses")
             if not in_unit(fam.initial_alpha):
                 v.append(f"{where}: initial alpha {fam.initial_alpha!r} outside [0, 1]")
-            alpha_sum += _number(fam.initial_alpha, 0.0)
+            alpha_sum += number_or(fam.initial_alpha, 0.0)
             for label in fam.labels:
                 if label in labels:
                     v.append(
@@ -234,7 +234,7 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
             for problem in check_procedure(fam.procedure, fam.size, fam.labels):
                 v.append(f"{where}: {problem}")
 
-    if alpha_sum > _number(spec.global_alpha, float("inf")) + SUM_TOL:
+    if alpha_sum > number_or(spec.global_alpha, float("inf")) + SUM_TOL:
         v.append(
             f"initial alphas sum to {alpha_sum!r}, "
             f"exceeding global alpha {spec.global_alpha!r}"
@@ -253,22 +253,12 @@ def validate_spec(spec: GraphSpec) -> ValidationOutcome:
                 f"backward edge {edge}: coefficient must be 0 "
                 f"unless the target layer is strictly later"
             )
-        row_sums[src] = row_sums.get(src, 0.0) + _number(g, 0.0)
+        row_sums[src] = row_sums.get(src, 0.0) + number_or(g, 0.0)
     for src, total in row_sums.items():
         if total > 1.0 + SUM_TOL:
             v.append(f"row sum {total!r} > 1 for family {src}")
 
     return ValidationOutcome(tuple(v))
-
-
-def _number(x, otherwise: float):
-    """`x`, or `otherwise` if `x` does not add as a number (its own check
-    reports it)."""
-    try:
-        x + 0.0
-    except TypeError:
-        return otherwise
-    return x
 
 
 # ---------------------------------------------------------------------------

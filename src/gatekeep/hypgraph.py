@@ -81,12 +81,13 @@ def validate_graph(graph: HypothesisGraph) -> ValidationOutcome:
     if len(graph.weights) != n:
         v.append(f"{len(graph.weights)} weights for {n} hypotheses")
     else:
-        if not all(math.isfinite(w) for w in graph.weights):
+        weights = [proc.number_or(w, math.nan) for w in graph.weights]  # NaN if not a number
+        if not all(map(math.isfinite, weights)):
             v.append("non-finite weight")
-        if any(w < 0 for w in graph.weights):
+        if any(w < 0 for w in weights):
             v.append("negative weight")
-        if sum(graph.weights) > 1.0 + SUM_TOL:
-            v.append(f"weights sum to {sum(graph.weights)!r} > 1")
+        if sum(weights) > 1.0 + SUM_TOL:
+            v.append(f"weights sum to {sum(weights)!r} > 1")
     if len(graph.transitions) != n or any(len(row) != n for row in graph.transitions):
         v.append(f"transition matrix is not {n}x{n}")
         return ValidationOutcome(tuple(v))
@@ -98,7 +99,7 @@ def validate_graph(graph: HypothesisGraph) -> ValidationOutcome:
         eps_sum = 0.0
         for k in range(n):
             g = graph.transitions[j][k]
-            if not math.isfinite(g):
+            if not math.isfinite(proc.number_or(g, math.nan)):
                 v.append(f"non-finite coefficient {g!r} at ({j}, {k})")
                 continue
             if j == k:

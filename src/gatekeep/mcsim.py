@@ -28,17 +28,16 @@ needs numpy only.
 
 The replicate loop does not call the scalar engine, but runs off the same
 plan (`GraphSpec.plan`: families, kernels, in- and out-edges, and the
-column layout: `order` and each family's `columns`) and the same kernel
-rules: thresholds, bound, rank thresholds and cut, the fixed-sequence walk
-and the Bonferroni/weighted-Holm step-down rounds with their weight fold.
-`batch_run`, `simulate_fwer` and `sweep` evaluate all replicates at once,
-a family's p-values one row per column. A family decided by rank
-(`Kernel.by_rank`) is ranked once per sweep block, column range and own
-shifts, whatever the strategy, within a fixed budget of values, and each
-config cuts that ranking at its own levels with `Kernel.rank_cut`: no rule
-has a batch form of its own. The hypothesis-level oracle, the lattice
-reference and the written-out references in the tests check the rules
-apart from either engine.
+column layout: `order` and each family's `columns`). `batch_run`,
+`simulate_fwer` and `sweep` take all replicates at once, a family's
+p-values one row per column, and decide each family with one
+`Kernel.test` call, as the scalar engine does, then take `Kernel.bound`:
+no rule has a batch form of its own, and no procedure kind is named here.
+The ranking `Kernel.test` is given is made once per sweep block, column
+range and own shifts, whatever the strategy, within a fixed budget of
+values (`_rank`). The hypothesis-level oracle, the lattice reference and
+the written-out references in the tests check the rules apart from either
+engine.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ import numpy as np
 from .errors import SpecFormatError, SweepError
 from .graph import GraphSpec, spec_from_json, spec_to_json
 from .jsontext import dumps, fields, finite, integer, loads, string
+from .procedures import number_or
 
 MODEL_KINDS = ("independent_uniform", "equicorrelated_normal")
 
@@ -113,11 +113,11 @@ def _check_config(config: SimConfig, scores: np.ndarray | None = None) -> tuple:
     if m.kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {m.kind!r}")
     if m.kind == "equicorrelated_normal":
-        if not 0.0 <= m.rho < 1.0:
+        if not 0.0 <= number_or(m.rho, math.nan) < 1.0:
             raise ValueError(f"rho {m.rho!r} outside [0, 1)")
     elif m.rho != 0.0:
         raise ValueError("rho only applies to equicorrelated_normal")
-    if not (math.isfinite(m.delta) and m.delta >= 0.0):
+    if not (math.isfinite(number_or(m.delta, math.nan)) and m.delta >= 0.0):
         raise ValueError(f"delta {m.delta!r} must be finite and nonnegative")
     if not isinstance(config.reps, int) or config.reps < 1:
         raise ValueError(f"reps {config.reps!r} must be an integer, at least 1")
@@ -436,12 +436,8 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
         level = np.full(p.shape[1], fam.initial_alpha)
         for src, g in sources:
             level = level + outcomes[src].spendable * g
-        kernel = plan.kernels[fam.name]
-        if kernel.by_rank:
-            rej = p <= kernel.rank_cut(_rank(p, ranks, (cols.start, cols.stop, key[0])), level)
-        else:  # a walk over the positions, as the scalar engine takes it
-            walk = kernel.in_sequence if kernel.kind == "fixed_sequence" else kernel.step_down
-            rej = np.array(walk(p, level))
+        kernel, rank_key = plan.kernels[fam.name], (cols.start, cols.stop, key[0])
+        rej = np.array(kernel.test(p, level, lambda p: _rank(p, ranks, rank_key)))
         spendable = None
         if plan.edges[fam.name]:
             spendable = level - kernel.bound(level, ~rej)

@@ -10,8 +10,9 @@ level - e*(accepted), is what gets transferred to later families.
 Each procedure's rules are written once, in `Kernel`, as plain arithmetic
 over one float, one numpy column or one `fractions.Fraction` per position:
 thresholds, weight fold, bound, rank thresholds and cut, fixed-sequence
-walk and step-down rounds. Both engines read them, and on `Fraction`s they
-run exactly; nothing here imports numpy. `test_family` and
+walk and step-down rounds. `Kernel.test` alone picks a family's rule, and
+both engines decide every family through it; on `Fraction`s the rules run
+exactly, and nothing here imports numpy. `test_family` and
 `error_rate_bound` validate and run.
 
 Conventions used throughout:
@@ -115,13 +116,14 @@ def check_procedure(
                 problems.append(
                     f"{len(proc.weights)} weights for {n} hypotheses"
                 )
-            if not all(math.isfinite(w) for w in proc.weights):
-                # NaN fails every comparison below, so it must be caught here.
+            # NaN, as a weight that is not a number is read, fails every check below.
+            weights = [number_or(w, math.nan) for w in proc.weights]
+            if not all(map(math.isfinite, weights)):
                 problems.append("non-finite weight")
-            if any(w < 0 for w in proc.weights):
+            if any(w < 0 for w in weights):
                 problems.append("negative weight")
-            if abs(sum(proc.weights) - 1.0) > _WEIGHT_TOL:
-                problems.append(f"weights sum to {sum(proc.weights)!r}, not 1")
+            if abs(sum(weights) - 1.0) > _WEIGHT_TOL:
+                problems.append(f"weights sum to {sum(weights)!r}, not 1")
     if proc.kind == "fixed_sequence":
         if proc.order is None:
             problems.append("fixed_sequence requires an order")
@@ -195,7 +197,8 @@ class Kernel(NamedTuple):
             e = (self.gamma + (1 - self.gamma) * count / self.n) * level * (count > 0)
         else:
             return level * (count > 0)  # holm, hochberg, fixed_sequence
-        return e * (e <= level) + level * (level < e)  # min(e, level), on arrays too
+        full = (level < e) | (count == self.n)  # accepting all spends the whole level
+        return e * (full ^ True) + level * full  # min(e, level), or level, on arrays too
 
     def weight_in(self, flags):
         """The weights at the flagged positions (a flag, or a column of
@@ -237,8 +240,7 @@ class Kernel(NamedTuple):
 
     def in_sequence(self, p, level) -> list:
         """Fixed sequence, by position: each hypothesis is rejected when it
-        and every one before it in the testing order clear the level. `p`
-        holds one float, or one column, per position."""
+        and every one before it in the testing order clear the level."""
         thr = self.threshold(level)
         ok = thr > 0.0
         rejected = [None] * self.n
@@ -248,8 +250,7 @@ class Kernel(NamedTuple):
 
     def step_down(self, p, level) -> list:
         """Bonferroni and weighted Holm, by position: every hypothesis in
-        play that clears its threshold is rejected, round after round. `p`
-        holds one float, or one column, per position.
+        play that clears its threshold is rejected, round after round.
 
         Rejecting one only raises the others' thresholds, so this is the
         one-at-a-time walk; testing only the smallest p / w would stop early
@@ -276,12 +277,11 @@ class Kernel(NamedTuple):
             rejected = [r | c for r, c in zip(rejected, cleared)]
         return rejected
 
-    def test(self, p: Sequence[float], level: float) -> list:
-        """Rejection flags by position at `level`."""
-        if level <= 0.0:
-            return [False] * self.n
+    def test(self, p: Sequence[float], level: float, rank=sorted) -> list:
+        """Rejection flags by position at `level`, by the family's one rule
+        (none rejects at level 0); `rank(p)` lists `p` by rank, smallest first."""
         if self.by_rank:
-            cut = self.rank_cut(sorted(p), level)
+            cut = self.rank_cut(rank(p), level)
             return [x <= cut for x in p]
         if self.kind == "fixed_sequence":
             return self.in_sequence(p, level)
@@ -311,7 +311,9 @@ def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int
     check_pvalues(inp.pvalues)
     if not in_unit(inp.level):
         raise ValueError(f"level {inp.level!r} outside [0, 1]")
-    if proc.kind == "fixed_sequence" and inp.labels is None and inp.level > 0.0:
+    if inp.level == 0.0:  # a fixed sequence without labels is accepted here
+        return frozenset()
+    if proc.kind == "fixed_sequence" and inp.labels is None:
         raise ValueError("fixed_sequence needs the family's hypothesis labels")
     kernel = Kernel.of(proc, n, inp.labels)
     return frozenset(compress(range(1, n + 1), kernel.test(inp.pvalues, inp.level)))
@@ -323,6 +325,16 @@ def in_unit(x) -> bool:
         return 0.0 <= x <= 1.0
     except TypeError:
         return False
+
+
+def number_or(x, otherwise):
+    """`x`, or `otherwise` if `x` does not add as a number (its own check
+    reports it), so that `None` or a string is never a `TypeError`."""
+    try:
+        x + 0.0
+    except TypeError:
+        return otherwise
+    return x
 
 
 def check_pvalues(pvalues: Iterable) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gatekeep as gk
+from gatekeep import mcsim
 from gatekeep import procedures as proc
 from gatekeep.engine import initial_state, replay, report_from_json, report_to_json, step
 
@@ -344,6 +345,30 @@ class TestConservationLedger:
                 assert all(t.amount >= 0.0 for t in o.transfers)
                 assert sum(t.amount for t in o.transfers) \
                     <= o.level_used - o.e_star + 1e-12
+
+    @pytest.mark.parametrize("procedure, n", [
+        (proc.bonferroni(), 6),
+        (proc.bonferroni(), 7),
+        (proc.bonferroni(), 10),
+        (proc.truncated_holm(0.3), 3),
+    ])
+    def test_family_that_accepts_everything_passes_nothing_on(self, procedure, n):
+        # Here n default weights of 1/n, or gamma + (1 - gamma) * n / n, add
+        # up to a hair below 1 in floats; the family spends its whole level
+        # all the same, so a successor at level 0 gets exactly 0.
+        labels = [f"H{k}" for k in range(1, n + 1)]
+        spec = gk.make_spec(
+            0.05,
+            [[("F1", labels, 0.05, procedure)], [("F2", ["G"], 0.0, proc.bonferroni())]],
+            {("F1", "F2"): 1.0},
+        )
+        pvalues = {**{label: 0.9 for label in labels}, "G": 1e-300}
+        first, second = gk.run(spec, pvalues).outcomes
+        assert first.e_star == 0.05
+        assert [t.amount for t in first.transfers] == [0.0]
+        assert second.level_used == 0.0 and second.rejected == frozenset()
+        batch = mcsim.batch_run(spec, np.array([[pvalues[l] for l in spec.labels()]]))
+        assert not batch.any()
 
 
 class TestMonotonicity:

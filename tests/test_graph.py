@@ -160,6 +160,12 @@ class TestValidateSpec:
                                      gk.LocalProcedureSpec("truncated_holm", gamma="0.5"))]])
         assert gk.validate_spec(spec).violations == ("family F1: gamma '0.5' outside [0, 1)",)
 
+    @pytest.mark.parametrize("bad", [None, "0.5"])
+    def test_weight_that_is_not_a_number_is_a_violation(self, bad):
+        spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05,
+                                     gk.LocalProcedureSpec("holm", weights=(bad, 1.0)))]])
+        assert gk.validate_spec(spec).violations == ("family F1: non-finite weight",)
+
     def test_fixed_sequence_order_must_permute(self):
         spec = gk.make_spec(
             0.05,

@@ -72,6 +72,16 @@ class TestValidation:
         graph = plain_graph(0.05, ["A", "B"], [1.0, 0.0], {(0, 1): 1.0, cell: bad})
         assert f"non-finite coefficient {bad!r} at {cell}" in hg.validate_graph(graph).violations
 
+    @pytest.mark.parametrize("bad", [None, "0.5"])
+    def test_weight_or_coefficient_that_is_not_a_number(self, bad):
+        graph = plain_graph(0.05, ["A", "B"], [bad, 0.5], {(0, 1): 1.0})
+        assert hg.validate_graph(graph).violations == ("non-finite weight",)
+        graph = plain_graph(0.05, ["A", "B"], [1.0, 0.0], {(0, 1): bad})
+        violation = f"non-finite coefficient {bad!r} at (0, 1)"
+        assert hg.validate_graph(graph).violations == (violation,)
+        with pytest.raises(gk.InvalidSpecError, match=re.escape(violation)):
+            gk.run_hypothesis_graph(graph, {"A": 0.01, "B": 0.5})
+
     def test_run_rejects_invalid_graph(self):
         graph = plain_graph(0.05, ["A"], [2.0], {})
         with pytest.raises(gk.InvalidSpecError):

@@ -126,9 +126,12 @@ def test_engine_and_batch_agree_on_the_lattice(kind, n):
 
 def bound(procedure: gk.LocalProcedureSpec, accepted: list[int], n: int, level: float) -> float:
     """e*(A) for the 1-based indices `accepted`, written out (Dmitrienko,
-    Tamhane & Wiens 2008), capped at `level`."""
+    Tamhane & Wiens 2008), capped at `level`; a family that accepts every
+    hypothesis spends its whole level."""
     if not accepted:
         return 0.0
+    if len(accepted) == n:
+        return level
     kind = procedure.kind
     if kind == "bonferroni":
         w = procedure.weights or tuple(1.0 / n for _ in range(n))

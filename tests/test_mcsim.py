@@ -150,6 +150,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="delta"):
             mcsim.simulate_fwer(small_config(delta=delta))
 
+    @pytest.mark.parametrize("bad", [None, "0.5"])
+    def test_rho_or_delta_that_is_not_a_number(self, bad):
+        with pytest.raises(ValueError, match=f"^rho {bad!r} outside \\[0, 1\\)$"):
+            mcsim.simulate_fwer(small_config(kind="equicorrelated_normal", rho=bad))
+        with pytest.raises(ValueError, match=f"^delta {bad!r} must be finite and nonnegative$"):
+            mcsim.simulate_fwer(small_config(delta=bad))
+
     def test_reps_positive(self):
         with pytest.raises(ValueError, match="reps"):
             mcsim.simulate_fwer(small_config(reps=0))

@@ -15,9 +15,11 @@ from gatekeep.engine import initial_state, step
 
 from conftest import TABLE_PVALUES, three_layer_step_up_spec, two_layer_fixed_sequence_spec
 
-# sha256 of report_to_json, taken from the release before the plan existed.
+# sha256 of report_to_json, taken from the release before the plan existed;
+# the large one retaken when a family that accepts everything came to spend
+# its whole level (F11's e* and its 11 transfers, which are now 0.0).
 README_REPORT_SHA256 = "e849582cc96c138e13c478b325da0183a790200a1746e8c36c4962f4f2fb1ff4"
-LARGE_REPORT_SHA256 = "243387d5bc7f1debd91ae60eb4e11d58df88eb8f5075e59f8bd2606883926b52"
+LARGE_REPORT_SHA256 = "085d908faeadd4672492b3c1877b75dfdb8f9f601afc4bb99ac8edc6998ce954"
 
 
 def large_strategy_shaped(seed: int = 14) -> tuple[gk.GraphSpec, dict[str, float]]:

@@ -76,6 +76,12 @@ class TestRejectionRules:
     def test_level_zero_rejects_nothing(self, kind_spec):
         got = rejects(kind_spec, (0.0, 0.0, 0.0), 0.0, labels=("A", "B", "C"))
         assert got == frozenset()
+        # test_family returns before the kernel at level 0; in both engines
+        # the rules' zero-threshold check is what rejects nothing there.
+        kernel = proc.Kernel.of(kind_spec, 3, ("A", "B", "C"))
+        assert kernel.test((0.0, 0.0, 0.0), 0.0) == [False] * 3
+        spec = gk.make_spec(0.05, [[("F", ["A", "B", "C"], 0.0, kind_spec)]])
+        assert not mcsim.batch_run(spec, np.zeros((4, 3))).any()
 
     def test_zero_weight_never_rejects(self):
         got = rejects(proc.bonferroni(weights=(1.0, 0.0)), (0.04, 0.0), 0.05)
@@ -173,6 +179,14 @@ class TestInputErrors:
         assert "non-finite weight" in proc.check_procedure(
             make(weights=(0.5, bad, 0.5)), 3
         )
+
+    @pytest.mark.parametrize("kind", ["bonferroni", "holm"])
+    @pytest.mark.parametrize("bad", [None, "0.5"])
+    def test_weight_that_is_not_a_number(self, kind, bad):
+        spec = gk.LocalProcedureSpec(kind, weights=(bad, 1.0))
+        assert proc.check_procedure(spec, 2) == ["non-finite weight"]
+        with pytest.raises(ValueError, match="^non-finite weight$"):
+            rejects(spec, (0.01, 0.02), 0.05)
 
     def test_gamma_refused_outside_truncated_kinds(self):
         bad = gk.LocalProcedureSpec("holm", gamma=0.5)
