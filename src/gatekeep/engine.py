@@ -1,12 +1,12 @@
 """Execution engine for family-based gatekeeping strategies.
 
 Layers are processed first to last. Testing a family consumes its current
-critical value; the unspent part, level - e*(accepted), is split among
-later families according to the family's outgoing transition coefficients,
-whose entries are then zeroed. Families inside one layer never exchange
-critical value (such edges are invalid), so within-layer order cannot
-change the outcome; `run` uses declared order for a deterministic audit
-trail.
+critical value; the unspent part, which the kernel writes from the rejected
+hypotheses (`Kernel.bound`), is split among later families according to
+the family's outgoing transition coefficients, whose entries are then
+zeroed. Families inside one layer never exchange critical value (such
+edges are invalid), so within-layer order cannot change the outcome; `run`
+uses declared order for a deterministic audit trail.
 
 `step` advances one family at a time and never mutates its input state, so
 callers can fork execution paths; a fork with other transition coefficients
@@ -77,9 +77,8 @@ def initial_state(spec: GraphSpec) -> ExecutionState:
 def _advance(kernel: Kernel, level: float, accepted, edges):
     """The update rules after testing a family at `level`: its bound
     e*(accepted), `accepted` a flag per position, and one transfer of
-    (level - e*) * g per (target, g) edge, in edge order."""
-    e_star = kernel.bound(level, accepted)
-    spare = level - e_star
+    spare * g per (target, g) edge, in edge order (`Kernel.bound`)."""
+    e_star, spare = kernel.bound(level, accepted)
     return e_star, tuple([Transfer(dst, spare * g) for dst, g in edges])
 
 

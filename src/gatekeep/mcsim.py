@@ -405,7 +405,7 @@ class _Outcome:
     """One family's result on every row; it equals only itself."""
 
     rejected: np.ndarray  # (family size, rows): one row of rejections per column
-    spendable: np.ndarray | None  # level it passes on per unit of g; None if it passes none
+    spendable: np.ndarray | None  # Kernel.bound's spare: passed on per unit of g; None if no edges
     counts: list[int]  # rejections per column
     hit: np.ndarray  # rows that rejected one of its true nulls
 
@@ -440,7 +440,7 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
         rej = np.array(kernel.test(p, level, lambda p: _rank(p, ranks, rank_key)))
         spendable = None
         if plan.edges[fam.name]:
-            spendable = level - kernel.bound(level, ~rej)
+            spendable = kernel.bound(level, ~rej)[1]
         counts = [int(np.count_nonzero(r)) for r in rej]
         outcomes[fam.name] = _Outcome(rej, spendable, counts, rej[own].any(axis=0))
         memo[fam.name] = (key, outcomes[fam.name])

@@ -4,16 +4,16 @@ Each family in a gatekeeping strategy is tested by one of six single-family
 procedures (Bonferroni, Holm, truncated Holm, Hochberg, truncated Hochberg,
 fixed sequence). Besides the rejection rule itself, every procedure exposes
 an upper bound e*(A) on the probability of rejecting at least one hypothesis
-in an index set A; the unspent part of a family's critical value,
-level - e*(accepted), is what gets transferred to later families.
+in an index set A; the unspent part of a family's critical value, written
+from the rejected set (`Kernel.bound`), is transferred to later families.
 
 Each procedure's rules are written once, in `Kernel`, as plain arithmetic
 over one float, one numpy column or one `fractions.Fraction` per position:
-thresholds, weight fold, bound, rank thresholds and cut, fixed-sequence
-walk and step-down rounds. `Kernel.test` alone picks a family's rule, and
-both engines decide every family through it; on `Fraction`s the rules run
-exactly, and nothing here imports numpy. `test_family` and
-`error_rate_bound` validate and run.
+thresholds, weight fold, bound and spare, rank thresholds and cut,
+fixed-sequence walk and step-down rounds. `Kernel.test` alone picks a
+family's rule, and both engines decide every family through it; on
+`Fraction`s the rules run exactly, and nothing here imports numpy.
+`test_family` and `error_rate_bound` validate and run.
 
 Conventions used throughout:
   * hypothesis indices are 1-based positions in the family's label list;
@@ -188,17 +188,22 @@ class Kernel(NamedTuple):
         return level  # fixed_sequence
 
     def bound(self, level, accepted):
-        """e*(A), capped at `level`, for the accepted set A: `accepted`
-        holds one flag, or one column of flags, per position."""
+        """(e*(A), spare) for the accepted set A, `accepted` a flag or a column
+        of flags per position. The spare, passed on, is written from the
+        rejected set, not as level - e*; both are capped at `level`."""
         count = sum(accepted)
         if self.kind == "bonferroni":
             e = level * self.weight_in(accepted)
+            spare = level * self.weight_in([a ^ True for a in accepted])
         elif self.kind in _TRUNCATED:
             e = (self.gamma + (1 - self.gamma) * count / self.n) * level * (count > 0)
-        else:
-            return level * (count > 0)  # holm, hochberg, fixed_sequence
-        full = (level < e) | (count == self.n)  # accepting all spends the whole level
-        return e * (full ^ True) + level * full  # min(e, level), or level, on arrays too
+            spare = (1 - self.gamma) * (self.n - count) / self.n * level
+        else:  # holm, hochberg, fixed_sequence
+            return level * (count > 0), level * (count == 0)
+        # min(x, level), or level, on arrays too; accepting all spends the whole level
+        full = (level < e) | (count == self.n)
+        none = (level < spare) | (count == 0)  # accepting none passes it all on
+        return e * (full ^ True) + level * full, spare * (none ^ True) + level * none
 
     def weight_in(self, flags):
         """The weights at the flagged positions (a flag, or a column of
@@ -320,11 +325,9 @@ def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int
 
 
 def in_unit(x) -> bool:
-    """Whether `x` is a number in [0, 1]; NaN, None and strings are not."""
-    try:
-        return 0.0 <= x <= 1.0
-    except TypeError:
-        return False
+    """Whether `x` is a number in [0, 1]; NaN, None, strings and numbers
+    that do not add to a float (a `Decimal`) are not."""
+    return 0.0 <= number_or(x, math.nan) <= 1.0
 
 
 def number_or(x, otherwise):
@@ -354,8 +357,8 @@ def error_rate_bound(
     """Upper bound e*(A) on P(reject something in A) at the given level.
 
     `accepted` holds 1-based indices. The bound is 0 for an empty set and
-    never exceeds `level`; the gap level - e*(A) is the amount a family can
-    pass on after testing.
+    never exceeds `level`; what a family passes on is `Kernel.bound`'s
+    spare, written from the rejected hypotheses.
     """
     accepted = list(accepted)
     try:
@@ -369,4 +372,4 @@ def error_rate_bound(
     problems = check_procedure(proc, n)
     if problems:
         raise ValueError("; ".join(problems))
-    return Kernel.of(proc, n).bound(level, [k in a for k in range(1, n + 1)])
+    return Kernel.of(proc, n).bound(level, [k in a for k in range(1, n + 1)])[0]

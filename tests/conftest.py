@@ -104,6 +104,29 @@ def random_procedure(rng: np.random.Generator, labels) -> gk.LocalProcedureSpec:
     return gk.LocalProcedureSpec(kind)
 
 
+def procedure_of(kind: str, labels: list[str], rng) -> gk.LocalProcedureSpec:
+    n = len(labels)
+    if kind in ("bonferroni", "holm"):
+        raw = rng.uniform(0.05, 1.0, n)
+        w = [float(x) for x in raw / raw.sum()]
+        if abs(sum(w) - 1.0) > 1e-12:
+            w[-1] = 1.0 - sum(w[:-1])
+        return gk.LocalProcedureSpec(kind, weights=tuple(w))
+    if kind in ("truncated_holm", "truncated_hochberg"):
+        return gk.LocalProcedureSpec(kind, gamma=float(rng.uniform(0.0, 0.95)))
+    if kind == "fixed_sequence":
+        return proc.fixed_sequence([str(x) for x in rng.permutation(labels)])
+    return gk.LocalProcedureSpec(kind)
+
+
+def every_form(kind: str, labels: list[str], rng) -> list[gk.LocalProcedureSpec]:
+    """`procedure_of`, and for Bonferroni and Holm also default weights."""
+    forms = [procedure_of(kind, labels, rng)]
+    if kind in ("bonferroni", "holm"):
+        forms.append(gk.LocalProcedureSpec(kind))
+    return forms
+
+
 def random_spec(
     rng: np.random.Generator,
     max_layers: int = 3,

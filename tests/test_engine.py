@@ -14,6 +14,7 @@ from gatekeep.engine import initial_state, replay, report_from_json, report_to_j
 
 from conftest import (
     TABLE_PVALUES,
+    every_form,
     exact_spec,
     random_pvalues,
     random_spec,
@@ -346,29 +347,53 @@ class TestConservationLedger:
                 assert sum(t.amount for t in o.transfers) \
                     <= o.level_used - o.e_star + 1e-12
 
-    @pytest.mark.parametrize("procedure, n", [
-        (proc.bonferroni(), 6),
-        (proc.bonferroni(), 7),
-        (proc.bonferroni(), 10),
-        (proc.truncated_holm(0.3), 3),
-    ])
-    def test_family_that_accepts_everything_passes_nothing_on(self, procedure, n):
-        # Here n default weights of 1/n, or gamma + (1 - gamma) * n / n, add
-        # up to a hair below 1 in floats; the family spends its whole level
-        # all the same, so a successor at level 0 gets exactly 0.
-        labels = [f"H{k}" for k in range(1, n + 1)]
+    @pytest.mark.parametrize("kind", proc.KINDS)
+    def test_family_that_accepts_everything_passes_nothing_on(self, kind):
+        # Accepting every hypothesis spends the whole level, so a successor
+        # at level 0 gets exactly 0, even where n default weights of 1/n, or
+        # gamma + (1 - gamma) * n / n, add up to a hair below 1 in floats
+        # (Bonferroni with n = 6, 7, 10, truncated Holm at gamma 0.3, n = 3).
+        # Rejecting every one passes exactly the level on. `batch_run` sees
+        # both at a tie: the successor's p-value is the smallest float above
+        # 0, or the level itself.
+        rng = np.random.default_rng([proc.KINDS.index(kind), 25])
+        for n in range(1, 11):
+            labels = [f"H{k}" for k in range(1, n + 1)]
+            forms = every_form(kind, labels, rng)
+            if kind in ("truncated_holm", "truncated_hochberg"):
+                forms.append(gk.LocalProcedureSpec(kind, gamma=0.3))
+            for procedure in forms:
+                level = float(rng.uniform(0.001, 0.2))
+                for p, spare, q in ((0.9, 0.0, 5e-324), (0.0, level, level)):
+                    successor = [("F2", ["G"], 0.0, proc.bonferroni())]
+                    layers = [[("F1", labels, level, procedure)], successor]
+                    spec = gk.make_spec(level, layers, {("F1", "F2"): 1.0})
+                    pvalues = {**dict.fromkeys(labels, p), "G": q}
+                    first, second = gk.run(spec, pvalues).outcomes
+                    assert first.e_star == level - spare, (procedure, level, p)
+                    assert [t.amount for t in first.transfers] == [spare], (procedure, level, p)
+                    assert second.rejected == ({"G"} if spare else set())
+                    batch = mcsim.batch_run(spec, np.array([[pvalues[l] for l in spec.labels()]]))
+                    assert batch[0].tolist() == [p == 0.0] * n + [spare > 0.0]
+
+    def test_level_passed_on_is_capped_at_the_level(self):
+        # Weights may sum to 1 + 1e-12; the rejected ones here sum to more
+        # than 1, so the complement reaches past the level without its cap.
+        level = 0.05
+        weights = (0.5, 0.5 + 5e-13, 0.0)
         spec = gk.make_spec(
-            0.05,
-            [[("F1", labels, 0.05, procedure)], [("F2", ["G"], 0.0, proc.bonferroni())]],
+            level,
+            [[("F1", ["H1", "H2", "H3"], level, proc.bonferroni(weights))],
+             [("F2", ["G"], 0.0, proc.bonferroni())]],
             {("F1", "F2"): 1.0},
         )
-        pvalues = {**{label: 0.9 for label in labels}, "G": 1e-300}
+        pvalues = {"H1": 0.0, "H2": 0.0, "H3": 0.0, "G": float(np.nextafter(level, 1.0))}
         first, second = gk.run(spec, pvalues).outcomes
-        assert first.e_star == 0.05
-        assert [t.amount for t in first.transfers] == [0.0]
-        assert second.level_used == 0.0 and second.rejected == frozenset()
+        assert first.accepted == {"H3"} and first.e_star == 0.0
+        assert [t.amount for t in first.transfers] == [level]
+        assert second.level_used == level and second.rejected == frozenset()
         batch = mcsim.batch_run(spec, np.array([[pvalues[l] for l in spec.labels()]]))
-        assert not batch.any()
+        assert batch[0].tolist() == [True, True, False, False]
 
 
 class TestMonotonicity:

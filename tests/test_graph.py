@@ -1,5 +1,7 @@
 """Structural validation, DOT export and JSON round-trips for GraphSpec."""
 
+from decimal import Decimal
+
 import pytest
 
 import gatekeep as gk
@@ -132,7 +134,7 @@ class TestValidateSpec:
         )
         assert any("outside [0, 1)" in v for v in gk.validate_spec(spec).violations)
 
-    @pytest.mark.parametrize("bad", [None, "0.05"])
+    @pytest.mark.parametrize("bad", [None, "0.05", Decimal("0.05")])
     @pytest.mark.parametrize("where", ["global", "family", "coefficient"])
     def test_a_value_that_is_not_a_number_is_a_violation(self, where, bad):
         spec = parallel_split_spec()
@@ -154,6 +156,27 @@ class TestValidateSpec:
         assert reported.endswith(violation)
         with pytest.raises(gk.InvalidSpecError):
             spec.plan
+
+    def test_a_decimal_level_is_reported_not_run(self):
+        # A Decimal compares with floats but does not add to them: it is
+        # reported like any value that is not a number, so `run` refuses
+        # the spec before a rule multiplies a float by it.
+        spec = gk.make_spec(
+            0.05,
+            [[("F1", ["H1"], 0.05, proc.bonferroni())], [("F2", ["H2"], 0.0, proc.bonferroni())]],
+            {("F1", "F2"): 1.0},
+        )
+        (first,), (second,) = spec.layers
+        spec = spec._replace(layers=(
+            (first._replace(initial_alpha=Decimal("0.9")),),
+            (second._replace(initial_alpha=Decimal("0.9")),),
+        ))
+        assert gk.validate_spec(spec).violations == (
+            "family F1: initial alpha Decimal('0.9') outside [0, 1]",
+            "family F2: initial alpha Decimal('0.9') outside [0, 1]",
+        )
+        with pytest.raises(gk.InvalidSpecError):
+            gk.run(spec, {"H1": 0.01, "H2": 0.01})
 
     def test_gamma_that_is_not_a_number_is_a_violation(self):
         spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05,

@@ -21,7 +21,7 @@ from gatekeep import hypgraph, mcsim
 from gatekeep import procedures as proc
 from gatekeep.engine import initial_state, step
 
-from conftest import exact_spec, fold, rejected_labels
+from conftest import every_form, exact_spec, fold, procedure_of, rejected_labels
 
 SIZES = range(1, 10)
 ROWS_PER_SPEC = 10
@@ -77,21 +77,6 @@ def lattice_pvalues(spec: gk.GraphSpec, rng, lowest: float = 0.0) -> dict[str, f
     return pvalues
 
 
-def procedure_of(kind: str, labels: list[str], rng) -> gk.LocalProcedureSpec:
-    n = len(labels)
-    if kind in ("bonferroni", "holm"):
-        raw = rng.uniform(0.05, 1.0, n)
-        w = [float(x) for x in raw / raw.sum()]
-        if abs(sum(w) - 1.0) > 1e-12:
-            w[-1] = 1.0 - sum(w[:-1])
-        return gk.LocalProcedureSpec(kind, weights=tuple(w))
-    if kind in ("truncated_holm", "truncated_hochberg"):
-        return gk.LocalProcedureSpec(kind, gamma=float(rng.uniform(0.0, 0.95)))
-    if kind == "fixed_sequence":
-        return proc.fixed_sequence([str(x) for x in rng.permutation(labels)])
-    return gk.LocalProcedureSpec(kind)
-
-
 def two_layer_spec(kind: str, n: int, rng) -> gk.GraphSpec:
     """F1 (kind, n) at its own level passes to F2 (kind, n), so the kind is
     also tested at a level built from a transfer."""
@@ -144,6 +129,24 @@ def bound(procedure: gk.LocalProcedureSpec, accepted: list[int], n: int, level: 
     return min(e, level)
 
 
+def passed_on(procedure: gk.LocalProcedureSpec, accepted: list[int], n: int, level: float) -> float:
+    """The level a family passes on, written out from its rejected set R
+    (the complement of `accepted`) and capped at `level`: level * w(R) for
+    Bonferroni, (1 - gamma) * |R| / n * level for the truncated kinds, and
+    0 otherwise; a family that accepts nothing passes its whole level."""
+    if not accepted:
+        return level
+    kind = procedure.kind
+    if kind == "bonferroni":
+        w = procedure.weights or tuple(1.0 / n for _ in range(n))
+        spare = level * fold(w[k - 1] for k in range(1, n + 1) if k not in accepted)
+    elif kind in ("truncated_holm", "truncated_hochberg"):
+        spare = (1.0 - procedure.gamma) * (n - len(accepted)) / n * level
+    else:
+        spare = 0.0
+    return min(spare, level)
+
+
 def kernel_thresholds(kernel, n: int, level: float, rng) -> list[list[float]]:
     """The kernel's thresholds laid out as `thresholds` lays out its own,
     along the same random Holm path when given the same `rng` state."""
@@ -190,7 +193,10 @@ def test_kernel_formulas_match_the_reference(kind, n):
             for a in subsets:
                 expected_e = bound(fam.procedure, a, n, level)
                 flags = [k in a for k in range(1, n + 1)]
-                assert float.hex(kernel.bound(level, flags)) == float.hex(expected_e), (a, level)
+                e_star, spare = kernel.bound(level, flags)
+                assert float.hex(e_star) == float.hex(expected_e), (a, level)
+                expected_spare = passed_on(fam.procedure, a, n, level)
+                assert float.hex(spare) == float.hex(expected_spare), (a, level)
 
 
 def twins(rng):
@@ -198,10 +204,8 @@ def twins(rng):
     yield hypgraph.serial_holm_gate_single(0.025)
     for w1 in (0.5, 0.3, float(rng.uniform(0.05, 0.95))):
         yield hypgraph.serial_holm_gate_weighted_pair(0.05, w1, 1.0 - w1)
-    # Only gamma = 0: for gamma > 0 the two forms reach the level passed on
-    # by different float chains (level - e* against a product of weights),
-    # which can differ in the last bit, so a tie can split them.
-    yield hypgraph.truncated_holm_gate(0.05, 0.0)
+    for gamma in (0.0, 0.25, 0.5, 0.75):
+        yield hypgraph.truncated_holm_gate(0.05, gamma)
 
 
 def test_hypothesis_twins_agree_on_the_lattice():
@@ -215,17 +219,15 @@ def test_hypothesis_twins_agree_on_the_lattice():
             assert gk.run_hypothesis_graph(graph, p) == engine, (graph, p)
 
 
-def exact_kernels(kind: str, rng):
-    """Kernels of `kind` for every size, resolved from `exact_spec` specs;
-    Bonferroni and Holm both with unequal and with default weights."""
+def kernel_pairs(kind: str, rng):
+    """Kernels of `kind` for every size, each with its twin resolved from
+    the `exact_spec` spec; Bonferroni and Holm both with unequal and with
+    default weights."""
     for n in SIZES:
         labels = [f"H{k}" for k in range(n)]
-        procedures = [procedure_of(kind, labels, rng)]
-        if kind in ("bonferroni", "holm"):
-            procedures.append(gk.LocalProcedureSpec(kind))
-        for procedure in procedures:
-            spec = exact_spec(gk.make_spec(0.05, [[("F", labels, 0.05, procedure)]]))
-            yield spec.plan.kernels["F"]
+        for procedure in every_form(kind, labels, rng):
+            spec = gk.make_spec(0.05, [[("F", labels, 0.05, procedure)]])
+            yield spec.plan.kernels["F"], exact_spec(spec).plan.kernels["F"]
 
 
 @pytest.mark.parametrize("kind", proc.KINDS)
@@ -233,11 +235,12 @@ def test_kernel_rules_stay_exact_on_fractions(kind):
     # One float literal in a rule (a fold from 0.0, 1.0 - gamma, a cut
     # from -1.0) turns a Fraction into a float.
     rng = np.random.default_rng([proc.KINDS.index(kind), 22])
-    for kernel in exact_kernels(kind, rng):
+    for _, kernel in kernel_pairs(kind, rng):
         n = kernel.n
         level = Fraction(float(rng.uniform(0.001, 0.2)))
         p = sorted(Fraction(float(x)) for x in rng.uniform(0.0, 0.1, n))
-        values = [kernel.bound(level, [bool(m >> k & 1) for k in range(n)]) for m in range(1 << n)]
+        masks = [[bool(m >> k & 1) for k in range(n)] for m in range(1 << n)]
+        values = [v for flags in masks for v in kernel.bound(level, flags)]  # e* and spare
         if kernel.kind == "fixed_sequence":
             values.append(kernel.threshold(level))
         if kernel.weights is not None:
@@ -248,6 +251,26 @@ def test_kernel_rules_stay_exact_on_fractions(kind):
         if kernel.by_rank:
             values += kernel.rank_thresholds(level) + [kernel.rank_cut(p, level)]
         assert all(type(v) is Fraction for v in values), (kernel, values)
+
+
+@pytest.mark.parametrize("kind", proc.KINDS)
+def test_spare_is_within_3_ulps_of_the_exact_rule(kind):
+    # The level passed on is written from the rejected set, so no float
+    # subtraction cancels: level - e*, with e* close to the level, is up to
+    # 130 ulps off on these draws.
+    rng = np.random.default_rng([proc.KINDS.index(kind), 25])
+    for _ in range(4):
+        for kernel, exact in kernel_pairs(kind, rng):
+            n = kernel.n
+            for _ in range(50 if n > 1 else 0):
+                level = float(rng.uniform(0.001, 1.0))
+                count = int(rng.integers(1, n))
+                flags = [k < count for k in rng.permutation(n)]
+                spare = kernel.bound(level, flags)[1]
+                want = exact.bound(Fraction(level), flags)[1]
+                assert abs(Fraction(spare) - want) <= 3 * Fraction(math.ulp(want)), (
+                    kernel, level, flags, spare, float(want)
+                )
 
 
 def exact_graph(graph: hypgraph.HypothesisGraph) -> hypgraph.HypothesisGraph:
@@ -261,12 +284,10 @@ def exact_graph(graph: hypgraph.HypothesisGraph) -> hypgraph.HypothesisGraph:
 
 def test_exact_engine_agrees_with_the_oracle_on_the_lattice():
     # Both forms run each twin's own numbers as rationals, so no float chain
-    # can split them at a tie, truncated gates with gamma > 0 included. The
-    # lattice sits on the float engine's thresholds, where exact decisions
-    # may differ from float ones.
+    # can split them at a tie. The lattice sits on the float engine's
+    # thresholds, where exact decisions may differ from float ones.
     rng = np.random.default_rng(2022)
-    gates = [hypgraph.truncated_holm_gate(0.05, gamma) for gamma in (0.25, 0.5, 0.75)]
-    for graph, spec in [*twins(rng), *gates]:
+    for graph, spec in twins(rng):
         exact, oracle = exact_spec(spec), exact_graph(graph)
         for _ in range(200):
             p = lattice_pvalues(spec, rng, lowest=np.nextafter(0.0, 1.0))
