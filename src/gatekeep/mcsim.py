@@ -287,9 +287,8 @@ def sweep(configs: Sequence[SimConfig]) -> list[SimResult]:
     agree on its shift (delta for a false null, 0 for a true null), a
     ranking of a family's columns across the draw's configs that agree on
     those columns' shifts, and a family's outcome across the spec's
-    consecutive configs that also agree on its own truth and its sources'
-    outcomes. Only one block of one draw is held at a time. Results equal
-    simulate_fwer's.
+    consecutive configs that also agree on its sources' outcomes. Only one
+    block of one draw is held at a time. Results equal simulate_fwer's.
     A failing element does not stop the others; if any failed, a SweepError
     carrying all element errors (and the successful results) is raised.
     """
@@ -335,19 +334,19 @@ def _run(
 
 
 def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.ndarray:
-    """One row per member config: the rows of block `start` of their shared
-    `draw` that rejected a true null, then its rejections per column (in
-    `plan.order`).
+    """One row per member config, read off its rejection matrix (the one
+    place that reads the truth): the rows of block `start` of their shared
+    `draw` that rejected a true null, then its rejections per column.
 
     The block's scores are drawn once (or sliced from `given`, the whole
     score matrix of a lone config). A column's p-values are mapped once per
     shift (delta for a false null, 0 for a true null), when a family first
     needs them, by the block's one `column` function. Each plan keeps the
     last outcome of each family, keyed by `_evaluate` on its inputs: it is
-    retested exactly when its own shifts or truth or those upstream change.
-    A retest reuses the ranking of its column range from `ranks` if those
-    columns' shifts were seen, by any config of the draw (`_rank`).
-    Everything is dropped on return.
+    retested exactly when its own shifts or those upstream change, so at
+    delta 0 every mask shares it. A retest reuses the ranking of its column
+    range from `ranks` if those columns' shifts were seen, by any config of
+    the draw (`_rank`). Everything is dropped on return.
     """
     seed, reps, n, kind, rho = draw
     stop = min(reps, start + _BLOCK)
@@ -371,10 +370,9 @@ def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.nd
         plan = config.spec.plan
         false_null = np.array([config.truth[label] == FALSE_NULL for label in plan.order])
         shift = np.where(false_null, config.model.delta, 0.0)  # a false null's score shift
-        outcomes = _evaluate(plan, column, shift, ~false_null, memos.setdefault(id(plan), {}), ranks)
-        hits = np.logical_or.reduce([outcome.hit for outcome in outcomes.values()])
-        row[0] = np.count_nonzero(hits)  # rows that rejected a true null
-        row[1:] = [c for outcome in outcomes.values() for c in outcome.counts]
+        rejected = _evaluate(plan, column, shift, memos.setdefault(id(plan), {}), ranks)
+        row[0] = np.count_nonzero(rejected[~false_null].any(axis=0))  # rows that rejected a true null
+        row[1:] = np.count_nonzero(rejected, axis=1)
     return out
 
 
@@ -406,27 +404,25 @@ class _Outcome:
 
     rejected: np.ndarray  # (family size, rows): one row of rejections per column
     spendable: np.ndarray | None  # Kernel.bound's spare: passed on per unit of g; None if no edges
-    counts: list[int]  # rejections per column
-    hit: np.ndarray  # rows that rejected one of its true nulls
 
 
-def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = None) -> dict:
-    """Run the families of `plan` in order on every row; outcomes by name.
+def _evaluate(plan, column, shift, memo: dict, ranks: dict | None = None) -> np.ndarray:
+    """Run the families of `plan` in order on every row; the (columns,
+    rows) boolean rejection matrix, columns in `plan.order`.
 
     `column(j, s)` gives the p-values of column j (of `plan.order`) at
-    score shift `s`; `shift` and `true_null` hold each column's shift and
-    truth. `memo` holds one entry per family: a family reuses its stored
-    outcome when its inputs are those stored with it, namely its own
-    columns' shifts and truth and its sources' outcomes (each equal only to
-    itself). Columns are read only for families that are tested. `ranks`,
-    if given, keeps the families' rankings from call to call (`_rank`).
+    score shift `s`; `shift` holds each column's shift. `memo` holds one
+    entry per family: a family reuses its stored outcome when its inputs
+    are those stored with it, namely its own columns' shifts and its
+    sources' outcomes (each equal only to itself). Columns are read only
+    for families that are tested. `ranks`, if given, keeps the families'
+    rankings from call to call (`_rank`).
     """
     outcomes: dict[str, _Outcome] = {}
     for fam in plan.families:
         cols = plan.columns[fam.name]
-        own = true_null[cols]
         sources = plan.sources[fam.name]
-        key = (shift[cols].tobytes(), own.tobytes(), *(outcomes[src] for src, _ in sources))
+        key = (shift[cols].tobytes(), *(outcomes[src] for src, _ in sources))
         if fam.name in memo and memo[fam.name][0] == key:
             outcomes[fam.name] = memo[fam.name][1]
             continue
@@ -441,10 +437,9 @@ def _evaluate(plan, column, shift, true_null, memo: dict, ranks: dict | None = N
         spendable = None
         if plan.edges[fam.name]:
             spendable = kernel.bound(level, ~rej)[1]
-        counts = [int(np.count_nonzero(r)) for r in rej]
-        outcomes[fam.name] = _Outcome(rej, spendable, counts, rej[own].any(axis=0))
+        outcomes[fam.name] = _Outcome(rej, spendable)
         memo[fam.name] = (key, outcomes[fam.name])
-    return outcomes
+    return np.concatenate([outcome.rejected for outcome in outcomes.values()])
 
 
 def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
@@ -461,8 +456,7 @@ def batch_run(spec: GraphSpec, pmat: np.ndarray) -> np.ndarray:
         raise ValueError(f"p matrix must be (reps, {n})")
     if not np.all((pmat >= 0.0) & (pmat <= 1.0)):  # NaN fails both
         raise ValueError("p-values outside [0, 1]")
-    outcomes = _evaluate(plan, lambda j, _: pmat[:, j], np.zeros(n), np.zeros(n, bool), {})
-    return np.concatenate([outcome.rejected for outcome in outcomes.values()]).T
+    return _evaluate(plan, lambda j, _: pmat[:, j], np.zeros(n), {}).T
 
 
 def _rank(p: np.ndarray, ranks: dict | None, key: tuple) -> np.ndarray:

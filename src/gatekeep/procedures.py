@@ -331,10 +331,11 @@ def in_unit(x) -> bool:
 
 
 def number_or(x, otherwise):
-    """`x`, or `otherwise` if `x` does not add as a number (its own check
-    reports it), so that `None` or a string is never a `TypeError`."""
+    """`x`, or `otherwise` if `x` does not add and compare as a real number
+    (its own check reports it), so that `None`, a string or a complex is
+    never a `TypeError`."""
     try:
-        x + 0.0
+        x + 0.0 <= 0.0
     except TypeError:
         return otherwise
     return x

@@ -134,7 +134,7 @@ class TestValidateSpec:
         )
         assert any("outside [0, 1)" in v for v in gk.validate_spec(spec).violations)
 
-    @pytest.mark.parametrize("bad", [None, "0.05", Decimal("0.05")])
+    @pytest.mark.parametrize("bad", [None, "0.05", Decimal("0.05"), 0.05j])
     @pytest.mark.parametrize("where", ["global", "family", "coefficient"])
     def test_a_value_that_is_not_a_number_is_a_violation(self, where, bad):
         spec = parallel_split_spec()
@@ -178,12 +178,14 @@ class TestValidateSpec:
         with pytest.raises(gk.InvalidSpecError):
             gk.run(spec, {"H1": 0.01, "H2": 0.01})
 
-    def test_gamma_that_is_not_a_number_is_a_violation(self):
+    # A complex adds to a float but does not compare with one.
+    @pytest.mark.parametrize("bad", ["0.5", 0.5j])
+    def test_gamma_that_is_not_a_number_is_a_violation(self, bad):
         spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05,
-                                     gk.LocalProcedureSpec("truncated_holm", gamma="0.5"))]])
-        assert gk.validate_spec(spec).violations == ("family F1: gamma '0.5' outside [0, 1)",)
+                                     gk.LocalProcedureSpec("truncated_holm", gamma=bad))]])
+        assert gk.validate_spec(spec).violations == (f"family F1: gamma {bad!r} outside [0, 1)",)
 
-    @pytest.mark.parametrize("bad", [None, "0.5"])
+    @pytest.mark.parametrize("bad", [None, "0.5", 0.5j])
     def test_weight_that_is_not_a_number_is_a_violation(self, bad):
         spec = gk.make_spec(0.05, [[("F1", ["H1", "H2"], 0.05,
                                      gk.LocalProcedureSpec("holm", weights=(bad, 1.0)))]])

@@ -150,7 +150,7 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="delta"):
             mcsim.simulate_fwer(small_config(delta=delta))
 
-    @pytest.mark.parametrize("bad", [None, "0.5"])
+    @pytest.mark.parametrize("bad", [None, "0.5", 0.5j])
     def test_rho_or_delta_that_is_not_a_number(self, bad):
         with pytest.raises(ValueError, match=f"^rho {bad!r} outside \\[0, 1\\)$"):
             mcsim.simulate_fwer(small_config(kind="equicorrelated_normal", rho=bad))
@@ -267,7 +267,8 @@ class TestSweep:
     def test_mixed_configs_match_direct_calls(self):
         # shuffled specs, truth masks, deltas, seeds and models in one call:
         # the shared score, p-value and per-family caches change nothing. At
-        # delta 0 the shifts do not tell truth masks apart; only the truth can.
+        # delta 0 the shifts do not tell truth masks apart, so every mask
+        # shares each family's outcome and only the hit count reads the truth.
         import itertools
         import random
 
@@ -433,6 +434,63 @@ class TestRankingCache:
         # about 600 MB.
         block = peak([configs[0], configs[-1]])
         assert peak(configs) <= 8 * mcsim._RANK_BUDGET + block + 1e6
+
+
+class TestRejectionMatrix:
+    """Every simulate count is read off one rejection matrix per config; a
+    family's outcome is keyed by its own shifts and its sources' outcomes,
+    never by the truth."""
+
+    @pytest.mark.parametrize("delta, tests", [(3.0, 512 + 64 + 8), (0.0, 3)])
+    def test_family_tests_over_every_mask_of_a_chain(self, monkeypatch, delta, tests):
+        # Masks in itertools.product order, first hypothesis slowest. At
+        # delta 3 a family is retested when its own truth changes, or an
+        # outcome upstream; at delta 0 no mask shifts a column, so all 512
+        # share each family's one outcome.
+        import itertools
+
+        labels = [f"H{k}" for k in range(1, 10)]
+        spec = gk.make_spec(0.05, [
+            [("F1", labels[:3], 0.03, proc.hochberg())],
+            [("F2", labels[3:6], 0.01, proc.truncated_holm(0.5))],
+            [("F3", labels[6:], 0.01, proc.holm())],
+        ], {("F1", "F2"): 0.5, ("F1", "F3"): 0.5, ("F2", "F3"): 1.0})
+        configs = [
+            SimConfig(spec, {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)},
+                      PValueModel(delta=delta), 1000, 1)
+            for bits in itertools.product((True, False), repeat=9)
+        ]
+        calls = []
+        test = Kernel.test
+        monkeypatch.setattr(Kernel, "test", lambda self, *a: calls.append(1) or test(self, *a))
+        results = mcsim.sweep(configs)
+        assert len(calls) == tests
+        monkeypatch.setattr(Kernel, "test", test)
+        assert results[0].fwer_hat > 0.0 and results[-1].fwer_hat == 0.0
+        assert results[::73] == [mcsim.simulate_fwer(c) for c in configs[::73]]
+
+    @pytest.mark.parametrize("delta", [0.0, 2.5])
+    def test_counts_are_a_reduction_of_batch_run(self, monkeypatch, delta):
+        # The estimate and the per-hypothesis counts, summed over blocks of
+        # 70 rows, equal the rows and columns of batch_run's rejections on
+        # the same draw, counted one row at a time. Every ninth mask.
+        import itertools
+
+        monkeypatch.setattr(mcsim, "_BLOCK", 70)
+        reps, seed = 200, 3
+        for spec in TestRankingCache.every_kind_strategies():
+            labels = spec.labels()
+            scores = mcsim.draw_scores(seed, reps, len(labels))
+            masks = list(itertools.product((True, False), repeat=len(labels)))
+            for bits in masks[::9] + masks[-1:]:  # all true nulls first, none last
+                shift = np.array([0.0 if b else delta for b in bits])
+                rows = mcsim.batch_run(spec, mcsim.ndtr(-(scores + shift))).tolist()
+                truth = {l: "true_null" if b else "false_null" for l, b in zip(labels, bits)}
+                config = SimConfig(spec, truth, PValueModel(delta=delta), reps, seed)
+                result = mcsim.simulate_fwer(config)
+                hits = sum(any(r and b for r, b in zip(row, bits)) for row in rows)
+                assert result.fwer_hat == hits / reps
+                assert result.rejections_per_hypothesis == dict(zip(labels, map(sum, zip(*rows))))
 
 
 class TestStrongControl:
