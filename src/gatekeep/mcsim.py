@@ -372,7 +372,7 @@ def _block(configs, members: list[int], draw: tuple, start: int, given) -> np.nd
         shift = np.where(false_null, config.model.delta, 0.0)  # a false null's score shift
         rejected = _evaluate(plan, column, shift, memos.setdefault(id(plan), {}), ranks)
         row[0] = np.count_nonzero(rejected[~false_null].any(axis=0))  # rows that rejected a true null
-        row[1:] = np.count_nonzero(rejected, axis=1)
+        row[1:] = rejected.sum(axis=1)
     return out
 
 
@@ -429,7 +429,7 @@ def _evaluate(plan, column, shift, memo: dict, ranks: dict | None = None) -> np.
         # One row per column: every step below works on whole columns.
         p = np.array([column(j, s) for j, s in enumerate(shift[cols].tolist(), cols.start)])
         # Incoming level is added in source execution order, as engine.run adds it.
-        level = np.full(p.shape[1], fam.initial_alpha)
+        level = fam.initial_alpha  # a float; a column once a source adds to it
         for src, g in sources:
             level = level + outcomes[src].spendable * g
         kernel, rank_key = plan.kernels[fam.name], (cols.start, cols.stop, key[0])

@@ -10,9 +10,11 @@ from the rejected set (`Kernel.bound`), is transferred to later families.
 Each procedure's rules are written once, in `Kernel`, as plain arithmetic
 over one float, one numpy column or one `fractions.Fraction` per position:
 thresholds, weight fold, bound and spare, rank thresholds and cut,
-fixed-sequence walk and step-down rounds. `Kernel.test` alone picks a
-family's rule, and both engines decide every family through it; on
-`Fraction`s the rules run exactly, and nothing here imports numpy.
+fixed-sequence walk and step-down rounds; a threshold has one of four
+shapes (by position, by rank, truncated by rank, fixed sequence).
+`Kernel.test` alone picks a family's rule, and both engines decide every
+family through it; on `Fraction`s the rules run exactly, and nothing here
+imports numpy.
 `test_family` and `error_rate_bound` validate and run.
 
 Conventions used throughout:
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 KINDS = (
@@ -169,23 +171,19 @@ class Kernel(NamedTuple):
         by_rank = proc.kind not in ("bonferroni", "fixed_sequence") and len(set(weights or ())) <= 1
         return cls(proc.kind, n, proc.gamma, weights, order, by_rank)
 
-    def threshold(self, level, rest=None, weight=None, total=None):
-        """One hypothesis's critical value at `level`.
-
-        `rest` counts the hypotheses in play: those ranked at or after this
-        one by p-value. `weight` is the hypothesis's weight and `total` the
-        weight still in play. Each kind reads only what it needs.
-        """
-        kind = self.kind
-        if kind == "bonferroni":
-            return weight * level
-        if kind == "holm":
+    def threshold(self, level, rest=None, weight=None, total=1):
+        """One hypothesis's critical value at `level`: by position,
+        `weight / total * level` (`total` the weight in play, 1 for
+        Bonferroni); by rank (`rest` in play: this one and those ranked
+        after it), `level / rest` for Holm and Hochberg or the truncated
+        form; otherwise (fixed sequence) `level`."""
+        if weight is not None:
             return weight / total * level
-        if kind == "hochberg":
-            return level / rest
-        if kind in _TRUNCATED:
+        if rest is None:
+            return level
+        if self.kind in _TRUNCATED:
             return (self.gamma / rest + (1 - self.gamma) / self.n) * level
-        return level  # fixed_sequence
+        return level / rest
 
     def bound(self, level, accepted):
         """(e*(A), spare) for the accepted set A, `accepted` a flag or a column
@@ -218,11 +216,9 @@ class Kernel(NamedTuple):
     def rank_thresholds(self, level) -> list:
         """The thresholds of a family decided by rank (Hochberg, truncated
         Hochberg, truncated Holm, Holm with equal weights), smallest p-value
-        first: at rank i, n - i hypotheses are in play, and an equal-weight
-        Holm's weight in play is n - i equal terms added in order."""
-        w = self.weights and self.weights[0]
-        totals = list(accumulate([w] * self.n)) if w else [None] * self.n
-        return [self.threshold(level, rest, w, totals[rest - 1]) for rest in range(self.n, 0, -1)]
+        first: at rank i, n - i + 1 hypotheses are in play. Equal-weight Holm
+        is then Hochberg's `level / rest`, its closed Bonferroni test."""
+        return [self.threshold(level, rest) for rest in range(self.n, 0, -1)]
 
     def rank_cut(self, ranked, level):
         """The largest rejected p-value of a family decided by rank, or -1:
@@ -265,7 +261,7 @@ class Kernel(NamedTuple):
         w = self.weights
         rejected = [False] * self.n
         for _ in range(1 if self.kind == "bonferroni" else self.n):
-            total = None
+            total = 1
             if self.kind == "holm":
                 # Holm divides by the weight in play; when that is 0, only
                 # zero weights are left, and they clear nothing.
@@ -316,8 +312,6 @@ def test_family(proc: LocalProcedureSpec, inp: FamilyTestInput) -> frozenset[int
     check_pvalues(inp.pvalues)
     if not in_unit(inp.level):
         raise ValueError(f"level {inp.level!r} outside [0, 1]")
-    if inp.level == 0.0:  # a fixed sequence without labels is accepted here
-        return frozenset()
     if proc.kind == "fixed_sequence" and inp.labels is None:
         raise ValueError("fixed_sequence needs the family's hypothesis labels")
     kernel = Kernel.of(proc, n, inp.labels)

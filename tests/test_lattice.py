@@ -21,7 +21,7 @@ from gatekeep import hypgraph, mcsim
 from gatekeep import procedures as proc
 from gatekeep.engine import initial_state, step
 
-from conftest import every_form, exact_spec, fold, procedure_of, rejected_labels
+from conftest import every_form, exact_spec, fold, rejected_labels
 
 SIZES = range(1, 10)
 ROWS_PER_SPEC = 10
@@ -34,8 +34,8 @@ def thresholds(procedure: gk.LocalProcedureSpec, n: int, level: float, rng) -> l
     kind = procedure.kind
     if kind == "fixed_sequence":
         return [[level]] * n
-    if kind == "hochberg":
-        return [[level / (n - i + 1) for i in range(1, n + 1)]] * n
+    if kind == "hochberg" or kind == "holm" and len(set(procedure.weights or ())) <= 1:
+        return [[level / (n - i + 1) for i in range(1, n + 1)]] * n  # by rank
     if kind in ("truncated_holm", "truncated_hochberg"):
         g = procedure.gamma
         return [[(g / (n - i + 1) + (1.0 - g) / n) * level for i in range(1, n + 1)]] * n
@@ -77,16 +77,23 @@ def lattice_pvalues(spec: gk.GraphSpec, rng, lowest: float = 0.0) -> dict[str, f
     return pvalues
 
 
-def two_layer_spec(kind: str, n: int, rng) -> gk.GraphSpec:
+def forms(kind: str) -> range:
+    """Which of `every_form`'s procedures to test: for Bonferroni and Holm,
+    unequal and default weights."""
+    return range(2 if kind in ("bonferroni", "holm") else 1)
+
+
+def two_layer_spec(kind: str, n: int, rng, form: int = 0) -> gk.GraphSpec:
     """F1 (kind, n) at its own level passes to F2 (kind, n), so the kind is
-    also tested at a level built from a transfer."""
+    also tested at a level built from a transfer; both take the `form`-th
+    procedure of `every_form`."""
     first = [f"A{k}" for k in range(n)]
     second = [f"B{k}" for k in range(n)]
     return gk.make_spec(
         0.05,
         [
-            [("F1", first, 0.03, procedure_of(kind, first, rng))],
-            [("F2", second, 0.02, procedure_of(kind, second, rng))],
+            [("F1", first, 0.03, every_form(kind, first, rng)[form])],
+            [("F2", second, 0.02, every_form(kind, second, rng)[form])],
         ],
         {("F1", "F2"): float(rng.choice([1.0, 0.7]))},
     )
@@ -98,15 +105,16 @@ def test_engine_and_batch_agree_on_the_lattice(kind, n):
     rng = np.random.default_rng([proc.KINDS.index(kind), n])
     # A weighted kind needs many weight vectors: few make a sum's rounding
     # depend on the order of its terms.
-    for _ in range(20 if kind in ("bonferroni", "holm") else 6):
-        spec = two_layer_spec(kind, n, rng)
-        labels = spec.labels()
-        rows = [lattice_pvalues(spec, rng) for _ in range(ROWS_PER_SPEC)]
-        batch = mcsim.batch_run(spec, np.array([[p[l] for l in labels] for p in rows]))
-        for p, batch_row in zip(rows, batch):
-            report = gk.run(spec, p)
-            expected = [report.decisions[l] == "S" for l in labels]
-            assert list(batch_row) == expected, (spec, p)
+    for form in forms(kind):
+        for _ in range(20 if kind in ("bonferroni", "holm") else 6):
+            spec = two_layer_spec(kind, n, rng, form)
+            labels = spec.labels()
+            rows = [lattice_pvalues(spec, rng) for _ in range(ROWS_PER_SPEC)]
+            batch = mcsim.batch_run(spec, np.array([[p[l] for l in labels] for p in rows]))
+            for p, batch_row in zip(rows, batch):
+                report = gk.run(spec, p)
+                expected = [report.decisions[l] == "S" for l in labels]
+                assert list(batch_row) == expected, (spec, p)
 
 
 def bound(procedure: gk.LocalProcedureSpec, accepted: list[int], n: int, level: float) -> float:
@@ -152,8 +160,8 @@ def kernel_thresholds(kernel, n: int, level: float, rng) -> list[list[float]]:
     along the same random Holm path when given the same `rng` state."""
     if kernel.kind == "fixed_sequence":
         return [[kernel.threshold(level)]] * n
-    if kernel.kind in ("hochberg", "truncated_holm", "truncated_hochberg"):
-        return [[kernel.threshold(level, n - i + 1) for i in range(1, n + 1)]] * n
+    if kernel.by_rank:  # Hochberg, the truncated kinds and equal-weight Holm
+        return [kernel.rank_thresholds(level)] * n
     w = kernel.weights
     if kernel.kind == "bonferroni":
         return [[kernel.threshold(level, weight=w[k])] for k in range(n)]
@@ -181,22 +189,23 @@ def test_kernel_formulas_match_the_reference(kind, n):
     subsets = [
         [k for k in range(1, n + 1) if mask >> (k - 1) & 1] for mask in range(1 << n)
     ]
-    for _ in range(6):
-        spec = two_layer_spec(kind, n, rng)
-        report = gk.run(spec, lattice_pvalues(spec, rng))
-        for fam, outcome in zip(spec.families(), report.outcomes):
-            kernel, level = spec.plan.kernels[fam.name], outcome.level_used
-            seed = int(rng.integers(1 << 32))
-            expected = thresholds(fam.procedure, n, level, np.random.default_rng(seed))
-            got = kernel_thresholds(kernel, n, level, np.random.default_rng(seed))
-            assert hexes(got) == hexes(expected), (fam.procedure, level)
-            for a in subsets:
-                expected_e = bound(fam.procedure, a, n, level)
-                flags = [k in a for k in range(1, n + 1)]
-                e_star, spare = kernel.bound(level, flags)
-                assert float.hex(e_star) == float.hex(expected_e), (a, level)
-                expected_spare = passed_on(fam.procedure, a, n, level)
-                assert float.hex(spare) == float.hex(expected_spare), (a, level)
+    for form in forms(kind):
+        for _ in range(6):
+            spec = two_layer_spec(kind, n, rng, form)
+            report = gk.run(spec, lattice_pvalues(spec, rng))
+            for fam, outcome in zip(spec.families(), report.outcomes):
+                kernel, level = spec.plan.kernels[fam.name], outcome.level_used
+                seed = int(rng.integers(1 << 32))
+                expected = thresholds(fam.procedure, n, level, np.random.default_rng(seed))
+                got = kernel_thresholds(kernel, n, level, np.random.default_rng(seed))
+                assert hexes(got) == hexes(expected), (fam.procedure, level)
+                for a in subsets:
+                    expected_e = bound(fam.procedure, a, n, level)
+                    flags = [k in a for k in range(1, n + 1)]
+                    e_star, spare = kernel.bound(level, flags)
+                    assert float.hex(e_star) == float.hex(expected_e), (a, level)
+                    expected_spare = passed_on(fam.procedure, a, n, level)
+                    assert float.hex(spare) == float.hex(expected_spare), (a, level)
 
 
 def twins(rng):

@@ -76,8 +76,8 @@ class TestRejectionRules:
     def test_level_zero_rejects_nothing(self, kind_spec):
         got = rejects(kind_spec, (0.0, 0.0, 0.0), 0.0, labels=("A", "B", "C"))
         assert got == frozenset()
-        # test_family returns before the kernel at level 0; in both engines
-        # the rules' zero-threshold check is what rejects nothing there.
+        # At level 0 every threshold is 0, and the rules' zero-threshold
+        # check rejects nothing, in test_family and in both engines.
         kernel = proc.Kernel.of(kind_spec, 3, ("A", "B", "C"))
         assert kernel.test((0.0, 0.0, 0.0), 0.0) == [False] * 3
         spec = gk.make_spec(0.05, [[("F", ["A", "B", "C"], 0.0, kind_spec)]])
@@ -118,6 +118,10 @@ class TestRejectionRules:
             p = tuple(rng.uniform(0, 0.4, n))
             level = float(rng.uniform(0.01, 0.2))
             assert rejects(proc.holm(), p, level) <= rejects(proc.hochberg(), p, level)
+        for level, rows in holm_lattice():
+            for p in rows:
+                assert rejects(proc.holm(), p, level) <= rejects(proc.hochberg(), p, level), (p, level)
+        assert rejects(proc.holm(), *FOLD_TIE) == rejects(proc.hochberg(), *FOLD_TIE) == set()
 
 
 class TestInputErrors:
@@ -207,6 +211,8 @@ class TestInputErrors:
     def test_fixed_sequence_needs_labels_to_test(self):
         with pytest.raises(ValueError, match="needs the family's hypothesis labels"):
             rejects(proc.fixed_sequence(["A", "B"]), (0.01, 0.02), 0.05)
+        with pytest.raises(ValueError, match="needs the family's hypothesis labels"):
+            rejects(proc.fixed_sequence(["A", "B"]), (0.01, 0.02), 0.0)  # level 0 too
 
     @pytest.mark.parametrize("kind_spec", [
         proc.bonferroni(),
@@ -329,6 +335,34 @@ def closed_bonferroni(p, level):
     return frozenset(out)
 
 
+# Equal-weight Holm at exact ties: p-values on the thresholds it could be
+# compared with, `level / m` and `w / total * level` with `total` an
+# in-order fold of m weights `1.0 / n`, one ulp either side of each, and 1.
+
+HOLM_LATTICE_SEEDS = (16, 27, 38)
+
+# At level 0.05, the fold puts the first of five thresholds at
+# 0.2 / 1.0 * 0.05, one ulp above 0.05 / 5, where p1 sits: a fold-based Holm
+# rejects H1, while the closed test and Hochberg reject nothing.
+FOLD_TIE = ((0.010000000000000002, 0.013333333333333334, 0.05000000000000001, 0.04, 0.025), 0.05)
+
+
+def holm_lattice():
+    """(level, rows): 40 lattice p-vectors at each of four levels per size
+    from 2 to 6 and seed, then `FOLD_TIE`."""
+    for seed in HOLM_LATTICE_SEEDS:
+        rng = np.random.default_rng(seed)
+        for n in range(2, 7):
+            w = 1.0 / n
+            for level in [0.05] + [float(x) for x in rng.uniform(0.01, 0.4, 3)]:
+                points = [1.0]
+                for m in range(1, n + 1):
+                    for t in {level / m, w / fold([w] * m) * level}:
+                        points += [float(np.nextafter(t, -np.inf)), t, float(np.nextafter(t, np.inf))]
+                yield level, [tuple(points[i] for i in rng.integers(len(points), size=n)) for _ in range(40)]
+    yield FOLD_TIE[1], [FOLD_TIE[0]]
+
+
 # Truncated Holm and truncated Hochberg written out (Dmitrienko, Tamhane &
 # Wiens 2008), with the threshold at `rest` hypotheses in play computed by
 # the same float expression as the kernel, so that exact ties decide alike.
@@ -444,6 +478,14 @@ class TestAgainstBruteForce:
             p = tuple(float(x) for x in rng.uniform(0, 0.5, n).round(4))
             level = float(rng.uniform(0.01, 0.4))
             assert rejects(proc.holm(), p, level) == closed_bonferroni(p, level)
+        for level, rows in holm_lattice():
+            labels = [f"H{k}" for k in range(1, len(rows[0]) + 1)]
+            spec = gk.make_spec(level, [[("F1", labels, level, proc.holm())]])
+            batch = mcsim.batch_run(spec, np.array(rows))
+            for p, batch_row in zip(rows, batch):
+                expect = closed_bonferroni(p, level)
+                assert rejects(proc.holm(), p, level) == expect, (p, level)
+                assert {k + 1 for k in np.flatnonzero(batch_row)} == expect, (p, level)
 
     @pytest.mark.parametrize("kind, reference", [
         ("truncated_holm", truncated_holm_walk),
